@@ -15,6 +15,9 @@ cargo build --release --workspace --all-targets
 echo "==> tests"
 cargo test -q --workspace
 
+echo "==> tests (perfbench, the benchmark driver outside the workspace)"
+cargo test --release --manifest-path perfbench/Cargo.toml
+
 echo "==> clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 

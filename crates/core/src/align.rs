@@ -104,42 +104,20 @@ impl Aligner {
         content * evolution
     }
 
-    /// Score candidate pairs, in parallel when the batch is large.
-    /// Returns the accepted `(story, story)` pairs (unordered).
+    /// Score candidate pairs. Returns the accepted `(story, story)`
+    /// pairs, in `pairs` order.
     fn score_pairs(
         &self,
         states: &[&StoryState],
         pairs: &[(usize, usize)],
     ) -> Vec<(StoryId, StoryId)> {
-        /// Below this, thread spawn overhead dominates.
-        const PARALLEL_THRESHOLD: usize = 4_096;
-
-        let score_chunk = |chunk: &[(usize, usize)]| -> Vec<(StoryId, StoryId)> {
-            chunk
-                .iter()
-                .filter(|&&(i, j)| {
-                    self.story_pair_score(states[i], states[j]) >= self.cfg.align_threshold
-                })
-                .map(|&(i, j)| (states[i].id(), states[j].id()))
-                .collect()
-        };
-
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if pairs.len() < PARALLEL_THRESHOLD || workers < 2 {
-            return score_chunk(pairs);
-        }
-        let chunk_size = pairs.len().div_ceil(workers);
-        let mut out = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = pairs
-                .chunks(chunk_size)
-                .map(|chunk| scope.spawn(move || score_chunk(chunk)))
-                .collect();
-            for h in handles {
-                out.extend(h.join().expect("scoring thread panicked"));
-            }
-        });
-        out
+        pairs
+            .iter()
+            .filter(|&&(i, j)| {
+                self.story_pair_score(states[i], states[j]) >= self.cfg.align_threshold
+            })
+            .map(|&(i, j)| (states[i].id(), states[j].id()))
+            .collect()
     }
 
     /// Full alignment over all per-source stories.

@@ -29,8 +29,8 @@ use crate::state::StoryState;
 use crate::unionfind::UnionFind;
 
 /// Number of story-id slots reserved per source (story ids are
-/// partitioned by source so identifiers can run in parallel without a
-/// shared allocator).
+/// partitioned by source so shards owning disjoint sources allocate
+/// without a shared allocator).
 pub const STORY_ID_STRIDE: u32 = 1 << 24;
 
 /// What happened when a snippet was identified.

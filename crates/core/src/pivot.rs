@@ -115,7 +115,8 @@ impl StoryPivot {
     /// # Panics
     /// Panics when more than [`STORY_ID_STRIDE`]-supported sources
     /// (2³²⁄2²⁴ = 256) are registered — story ids are partitioned by
-    /// source for lock-free parallel identification.
+    /// source, so engines serving disjoint source sets (one per shard)
+    /// never collide on a story id.
     pub fn add_source<S: Into<String>>(&mut self, name: S, kind: SourceKind) -> SourceId {
         self.add_source_with_lag(name, kind, 0)
     }
@@ -253,63 +254,6 @@ impl StoryPivot {
         snippets: I,
     ) -> Result<Vec<IdentifyDecision>> {
         snippets.into_iter().map(|s| self.ingest_detailed(s)).collect()
-    }
-
-    /// Ingest a batch with **parallel per-source identification**:
-    /// snippets are stored first, then each source's identifier runs on
-    /// its own thread (sources are independent by construction, §2.1).
-    ///
-    /// Within each source, snippets are processed in `(timestamp, id)`
-    /// order. Returns the number of snippets ingested.
-    pub fn ingest_batch_parallel(&mut self, snippets: Vec<Snippet>) -> Result<usize> {
-        let mut by_source: HashMap<SourceId, Vec<Snippet>> = HashMap::new();
-        for s in snippets {
-            if !self.identifiers.contains_key(&s.source) {
-                return Err(Error::UnknownSource(s.source));
-            }
-            by_source.entry(s.source).or_default().push(s);
-        }
-        let mut total = 0usize;
-        for batch in by_source.values_mut() {
-            batch.sort_by_key(|s| (s.timestamp, s.id));
-            for s in batch.iter() {
-                self.store.insert(s.clone())?;
-            }
-            total += batch.len();
-        }
-
-        let store = &self.store;
-        let mut touched: Vec<Vec<StoryId>> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (source, ident) in self.identifiers.iter_mut() {
-                let Some(batch) = by_source.remove(source) else { continue };
-                handles.push(scope.spawn(move || {
-                    let mut touched = Vec::with_capacity(batch.len());
-                    for s in &batch {
-                        let d = ident.assign(s, store);
-                        touched.push(d.story);
-                        touched.extend(d.merged);
-                    }
-                    let report = ident.maintain(store);
-                    for (orig, fragments) in report.splits {
-                        touched.push(orig);
-                        touched.extend(fragments);
-                    }
-                    touched
-                }));
-            }
-            for h in handles {
-                touched.push(h.join().expect("identification thread panicked"));
-            }
-        });
-        for t in touched.into_iter().flatten() {
-            self.dirty.insert(t);
-        }
-        // The parallel path records only the ingest count; per-decision
-        // counters stay on the sequential (serving) path.
-        self.metrics.ingest_total.add(total as u64);
-        Ok(total)
     }
 
     // ---- removal ---------------------------------------------------------
@@ -736,47 +680,6 @@ mod tests {
         assert_eq!(pivot.dirty_count(), 1);
         pivot.align_incremental();
         assert_eq!(pivot.global_stories().len(), 1);
-    }
-
-    #[test]
-    fn parallel_batch_matches_sequential() {
-        let build = |parallel: bool| -> Vec<Vec<SnippetId>> {
-            let mut pivot = StoryPivot::new(PivotConfig::default());
-            let a = pivot.add_source("a", SourceKind::Newspaper);
-            let b = pivot.add_source("b", SourceKind::Newspaper);
-            let mut batch = Vec::new();
-            for day in 0..10i64 {
-                for (src, ent) in [(a, day % 3), (b, day % 3)] {
-                    let id = pivot.fresh_snippet_id();
-                    let e = ent as u32 * 10;
-                    batch.push(
-                        Snippet::builder(id, src, Timestamp::from_secs(day * DAY))
-                            .entity(EntityId::new(e), 1.0)
-                            .entity(EntityId::new(e + 1), 1.0)
-                            .term(TermId::new(e), 1.0)
-                            .build(),
-                    );
-                }
-            }
-            if parallel {
-                pivot.ingest_batch_parallel(batch).unwrap();
-            } else {
-                // Sequential per-source in (timestamp, id) order mirrors
-                // what the parallel path does per source.
-                let mut sorted = batch;
-                sorted.sort_by_key(|s| (s.source, s.timestamp, s.id));
-                pivot.ingest_batch(sorted).unwrap();
-            }
-            pivot.align();
-            let mut partitions: Vec<Vec<SnippetId>> = pivot
-                .global_stories()
-                .iter()
-                .map(|g| g.members.iter().map(|&(m, _)| m).collect())
-                .collect();
-            partitions.sort();
-            partitions
-        };
-        assert_eq!(build(false), build(true));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The corpus builder: ground-truth world → noisy multi-source stream.
 
-use storypivot_substrate::rng::{RngExt, SliceRandom, StdRng};
+use storypivot_substrate::rng::{RngExt, SliceRandom, StdRng, Zipf};
 
 use storypivot_types::{
     DocId, EntityId, EventType, Snippet, SnippetId, Source, SourceId, SourceKind, TermId,
@@ -10,7 +10,6 @@ use storypivot_types::{
 use crate::config::GenConfig;
 use crate::names;
 use crate::truth::GroundTruth;
-use crate::zipf::Zipf;
 
 /// A generated corpus: sources, a snippet stream in *delivery order*
 /// (publication lag makes event timestamps arrive out of order), and the

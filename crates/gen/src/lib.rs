@@ -39,11 +39,9 @@ pub mod names;
 pub mod render;
 pub mod scenario;
 pub mod truth;
-pub mod zipf;
 
 pub use config::GenConfig;
 pub use corpus::{Corpus, CorpusBuilder};
 pub use render::render_document;
 pub use scenario::{Phase, Scenario, ScenarioOp, Script, Segment};
 pub use truth::GroundTruth;
-pub use zipf::Zipf;

@@ -6,28 +6,47 @@
 //! exactly what the multiplexed runtime was built to avoid.
 //!
 //! This lives in its own integration-test binary because a
-//! `#[global_allocator]` is process-wide.
+//! `#[global_allocator]` is process-wide; the counter itself is
+//! per-thread and armed only inside [`allocs_during`].
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use storypivot_serve::proto::{frame, frame_into, frame_ready, Request, RequestRef, Response};
 use storypivot_types::{DocId, SourceKind, StoryId};
 
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+// Per-thread, so concurrently running tests (and the test harness's
+// own threads) never show up in each other's counts. `const`
+// initialisation keeps the thread-locals themselves allocation-free.
+thread_local! {
+    static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count_alloc() {
+    // `try_with`: the allocator can run while thread-locals are being
+    // torn down at thread exit.
+    let _ = ARMED.try_with(|armed| {
+        if armed.get() {
+            let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        }
+    });
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counting
+// side effect touches only `const` thread-locals and never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -35,11 +54,13 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations observed while running `f`.
+/// Allocations made by the calling thread while running `f`.
 fn allocs_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    ALLOCS.with(|n| n.set(0));
+    ARMED.with(|armed| armed.set(true));
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ARMED.with(|armed| armed.set(false));
+    ALLOCS.with(Cell::get)
 }
 
 #[test]

@@ -13,8 +13,7 @@
 //!   the [`buf::Buf`]/[`buf::BufMut`] traits. Replaces `bytes`.
 //! * [`shared`] — [`shared::Shared<T>`], a cloneable readers–writer
 //!   handle on [`std::sync::RwLock`] that recovers from poisoning.
-//!   Replaces `parking_lot` (and, with [`std::thread::scope`],
-//!   `crossbeam`).
+//!   Replaces `parking_lot`.
 //! * [`prop`] — a minimal property-testing harness: deterministic
 //!   per-case seeds, generator helpers, and failing-seed replay via an
 //!   environment variable. Replaces `proptest`.

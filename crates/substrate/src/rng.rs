@@ -491,4 +491,48 @@ mod tests {
             assert!((1600..=2400).contains(&c), "rank {i}: {c}");
         }
     }
+
+    #[test]
+    fn zipf_samples_stay_in_range() {
+        let z = Zipf::new(10, 1.0);
+        let mut rng = StdRng::seed_from_u64(1);
+        for _ in 0..1000 {
+            assert!(z.sample(&mut rng) < 10);
+        }
+    }
+
+    #[test]
+    fn zipf_distinct_sampling_has_no_duplicates() {
+        let z = Zipf::new(20, 1.0);
+        let mut rng = StdRng::seed_from_u64(4);
+        let got = z.sample_distinct(&mut rng, 10);
+        assert_eq!(got.len(), 10);
+        let set: std::collections::HashSet<usize> = got.iter().copied().collect();
+        assert_eq!(set.len(), 10);
+    }
+
+    #[test]
+    fn zipf_distinct_sampling_full_range() {
+        let z = Zipf::new(5, 2.0);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut got = z.sample_distinct(&mut rng, 5);
+        got.sort_unstable();
+        assert_eq!(got, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one rank")]
+    fn zipf_empty_rejected() {
+        Zipf::new(0, 1.0);
+    }
+
+    #[test]
+    fn zipf_deterministic_under_seed() {
+        let z = Zipf::new(50, 1.1);
+        let mut a = StdRng::seed_from_u64(9);
+        let mut b = StdRng::seed_from_u64(9);
+        let sa: Vec<usize> = (0..100).map(|_| z.sample(&mut a)).collect();
+        let sb: Vec<usize> = (0..100).map(|_| z.sample(&mut b)).collect();
+        assert_eq!(sa, sb);
+    }
 }

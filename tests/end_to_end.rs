@@ -128,26 +128,6 @@ fn out_of_order_delivery_degrades_gracefully() {
 }
 
 #[test]
-fn parallel_ingest_matches_sequential_quality() {
-    let c = corpus(800, 6, 48);
-    let sequential = run(&c, PivotConfig::temporal(14 * DAY), RunOptions::default());
-
-    let mut pivot = storypivot::prelude::StoryPivot::new(PivotConfig::temporal(14 * DAY));
-    for s in &c.sources {
-        pivot.add_source_with_lag(s.name.clone(), s.kind, s.typical_lag);
-    }
-    pivot.ingest_batch_parallel(c.snippets.clone()).unwrap();
-    pivot.align();
-    let parallel_f1 = storypivot::eval::run::alignment_scores(&pivot, &c).f1;
-    assert!(
-        (sequential.sa_f1() - parallel_f1).abs() < 0.1,
-        "parallel {} vs sequential {}",
-        parallel_f1,
-        sequential.sa_f1()
-    );
-}
-
-#[test]
 fn removing_a_source_removes_its_stories_and_keeps_the_rest() {
     let c = corpus(600, 4, 49);
     let mut pivot = storypivot::prelude::StoryPivot::new(PivotConfig::default());

@@ -96,12 +96,10 @@ fn store_snapshot_round_trips_and_rebuilds_identically() {
     }
     pivot.align();
 
-    // Persist the event store, reload, rebuild a pivot from it.
-    let mut path = std::env::temp_dir();
-    path.push(format!("storypivot-it-{}.snap", std::process::id()));
-    storypivot::store::snapshot::save(pivot.store(), &path).unwrap();
-    let loaded = storypivot::store::snapshot::load(&path).unwrap();
-    std::fs::remove_file(&path).ok();
+    // Persist the engine, reload, rebuild a pivot from its store.
+    let bytes = pivot.save_checkpoint();
+    let restored = StoryPivot::load_checkpoint(PivotConfig::default(), &bytes).unwrap();
+    let loaded = restored.store();
 
     assert_eq!(loaded.len(), pivot.store().len());
     assert_eq!(loaded.stats(), pivot.store().stats());

@@ -1,12 +1,15 @@
-//! Durability integration: snapshot, write-ahead log, and engine
-//! checkpoint working together across a simulated restart.
+//! Durability integration: checkpoint generations and the operation
+//! journal working together across a simulated restart.
 
+use storypivot::core::checkpoint;
 use storypivot::core::config::PivotConfig;
+use storypivot::core::oplog::{replay_op, ReplayOp};
+use storypivot::core::pipeline::{DynamicPivot, PipelinePolicy};
 use storypivot::gen::{CorpusBuilder, GenConfig};
 use storypivot::prelude::*;
-use storypivot::store::{replay, EventStore, Wal};
 use storypivot::substrate::prop;
 use storypivot::substrate::rng::RngExt;
+use storypivot::substrate::wal::{self, SyncPolicy, Wal};
 use storypivot::types::DAY;
 
 fn tmp(name: &str) -> std::path::PathBuf {
@@ -25,47 +28,81 @@ fn corpus(target: usize, seed: u64) -> storypivot::gen::Corpus {
     .build()
 }
 
-/// The deployment pattern from the WAL docs: snapshot + log replay
-/// reconstruct the live store exactly.
+/// The global partition as sorted member-id lists, for comparing engines.
+fn partition(p: &StoryPivot) -> Vec<Vec<u32>> {
+    let mut v: Vec<Vec<u32>> = p
+        .global_stories()
+        .iter()
+        .map(|g| {
+            let mut m: Vec<u32> = g.members.iter().map(|&(id, _)| id.raw()).collect();
+            m.sort_unstable();
+            m
+        })
+        .collect();
+    v.sort();
+    v
+}
+
+/// The deployment pattern `pivotd` runs per shard: a checkpoint
+/// generation plus the journal of ops applied after it reconstruct the
+/// live engine exactly.
 #[test]
 fn snapshot_plus_wal_reconstructs_the_store() {
     let c = corpus(300, 71);
-    let snap_path = tmp("snap");
+    let ckpt_dir = tmp("ckpt");
     let wal_path = tmp("wal");
+    std::fs::remove_dir_all(&ckpt_dir).ok();
     std::fs::remove_file(&wal_path).ok();
 
-    // Live store: first half snapshotted, second half WAL-logged.
-    let mut live = EventStore::new();
-    let mut wal = Wal::open(&wal_path).unwrap();
+    // Live engine: first half checkpointed, second half journaled.
+    let mut live = StoryPivot::new(PivotConfig::default());
+    let (mut wal, _) = Wal::open(&wal_path, SyncPolicy::Never).unwrap();
     for s in &c.sources {
-        live.register_source(s.clone()).unwrap();
+        live.add_source_registered(s.clone()).unwrap();
     }
     let half = c.len() / 2;
     for s in &c.snippets[..half] {
-        live.insert(s.clone()).unwrap();
+        live.ingest(s.clone()).unwrap();
     }
-    storypivot::store::snapshot::save(&live, &snap_path).unwrap();
+    checkpoint::write_generation(&ckpt_dir, 0, 1, &live.save_checkpoint()).unwrap();
     for s in &c.snippets[half..] {
-        live.insert(s.clone()).unwrap();
-        wal.log_insert(s).unwrap();
+        live.ingest(s.clone()).unwrap();
+        wal.append(&ReplayOp::Ingest(s.clone()).to_bytes()).unwrap();
     }
-    // Also delete something after the snapshot.
-    let victim = c.snippets[0].id;
-    live.remove(victim).unwrap();
-    wal.log_remove(victim).unwrap();
+    // Also delete something the checkpoint holds.
+    let victim = c.snippets[0].doc;
+    live.remove_document(victim).unwrap();
+    wal.append(&ReplayOp::RemoveDoc(victim).to_bytes()).unwrap();
     wal.sync().unwrap();
+    drop(wal);
 
-    // "Restart": snapshot + replay.
-    let mut restored = storypivot::store::snapshot::load(&snap_path).unwrap();
-    let report = replay(&wal_path, &mut restored).unwrap();
-    assert!(!report.torn_tail);
-    assert_eq!(restored.len(), live.len());
-    assert_eq!(restored.stats(), live.stats());
-    for s in live.iter() {
-        assert_eq!(restored.get(s.id), Some(s));
+    // "Restart": newest checkpoint generation + journal replay.
+    let (pivot, generation) =
+        checkpoint::load_newest(&ckpt_dir, 0, PivotConfig::default()).unwrap().unwrap();
+    assert_eq!(generation, 1);
+    let mut restored = DynamicPivot::from_pivot(
+        pivot,
+        PipelinePolicy {
+            align_every: 0,
+            ..PipelinePolicy::default()
+        },
+    );
+    let journal = wal::scan(&wal_path).unwrap();
+    assert!(!journal.damaged());
+    for payload in &journal.records {
+        assert!(replay_op(&mut restored, &ReplayOp::decode(payload).unwrap()).unwrap());
     }
+    let restored = restored.pivot_mut();
+    assert_eq!(restored.store().len(), live.store().len());
+    assert_eq!(restored.store().stats(), live.store().stats());
+    for s in live.store().iter() {
+        assert_eq!(restored.store().get(s.id), Some(s));
+    }
+    live.align();
+    restored.align();
+    assert_eq!(partition(restored), partition(&live));
 
-    std::fs::remove_file(&snap_path).ok();
+    std::fs::remove_dir_all(&ckpt_dir).ok();
     std::fs::remove_file(&wal_path).ok();
 }
 
@@ -107,19 +144,6 @@ fn checkpoint_restart_converges_with_uninterrupted_run() {
 
     // Same number of snippets; identical global partitions.
     assert_eq!(resumed.store().len(), reference.store().len());
-    let partition = |p: &StoryPivot| -> Vec<Vec<u32>> {
-        let mut v: Vec<Vec<u32>> = p
-            .global_stories()
-            .iter()
-            .map(|g| {
-                let mut m: Vec<u32> = g.members.iter().map(|&(id, _)| id.raw()).collect();
-                m.sort_unstable();
-                m
-            })
-            .collect();
-        v.sort();
-        v
-    };
     assert_eq!(partition(&resumed), partition(&reference));
 }
 
