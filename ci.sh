@@ -81,6 +81,13 @@ grep -q '^storypivot_pool_bytes_highwater ' "$SMOKE_DIR/metrics.txt"
 # The hot-story-cache hit/miss counters are registered and exported.
 grep -q '^storypivot_story_cache_hits_total' "$SMOKE_DIR/metrics.txt"
 grep -q '^storypivot_story_cache_misses_total' "$SMOKE_DIR/metrics.txt"
+# METRICS is the only serving surface: the per-shard fields an operator
+# needs (journal size, replay debt, reads served, stories alive) are
+# shard-labelled series in the same exposition.
+grep -q '^storypivot_shard_wal_bytes{' "$SMOKE_DIR/metrics.txt"
+grep -q '^storypivot_shard_checkpoint_age_ops{' "$SMOKE_DIR/metrics.txt"
+grep -q '^storypivot_shard_queries_total{' "$SMOKE_DIR/metrics.txt"
+grep -q '^storypivot_shard_stories{' "$SMOKE_DIR/metrics.txt"
 # SHUTDOWN must terminate the daemon gracefully (exit 0) and leave one
 # generation-numbered checkpoint per shard.
 wait "$PIVOTD_PID"

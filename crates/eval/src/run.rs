@@ -6,10 +6,10 @@ use std::time::Instant;
 use storypivot_core::config::PivotConfig;
 use storypivot_core::pivot::StoryPivot;
 use storypivot_gen::Corpus;
+use storypivot_substrate::timing::Histogram;
 use storypivot_types::SourceId;
 
 use crate::metrics::{pairwise_counts, Clustering, PairCounts, Scores};
-use crate::timing::LatencyRecorder;
 
 /// What to run and measure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,11 +43,12 @@ pub struct RunResult {
     /// Mean per-event identification time in nanoseconds — the paper's
     /// "Execution Time" axis.
     pub per_event_nanos: f64,
-    /// Median per-event identification time in nanoseconds.
+    /// Median per-event identification time in nanoseconds (the lower
+    /// edge of its log bucket, within ~6% of the exact value).
     pub p50_nanos: u64,
-    /// 95th-percentile per-event identification time in nanoseconds
-    /// (tail latency matters for the near-real-time integration goal of
-    /// §2.4).
+    /// 95th-percentile per-event identification time in nanoseconds,
+    /// also a bucket lower edge (tail latency matters for the
+    /// near-real-time integration goal of §2.4).
     pub p95_nanos: u64,
     /// Alignment wall time in nanoseconds (0 when not run).
     pub align_nanos: u64,
@@ -99,10 +100,12 @@ pub fn run(corpus: &Corpus, config: PivotConfig, opts: RunOptions) -> RunResult 
 
     // ---- identification ------------------------------------------------
     let mut comparisons = 0u64;
-    let mut latency = LatencyRecorder::new();
+    let mut latency = Histogram::new();
     let start = Instant::now();
     for s in stream {
-        let d = latency.time(|| pivot.ingest_detailed(s).expect("corpus snippets are valid"));
+        let t = Instant::now();
+        let d = pivot.ingest_detailed(s).expect("corpus snippets are valid");
+        latency.record(t.elapsed().as_nanos() as u64);
         comparisons += d.compared as u64;
     }
     let ingest_nanos = start.elapsed().as_nanos() as u64;
@@ -140,8 +143,8 @@ pub fn run(corpus: &Corpus, config: PivotConfig, opts: RunOptions) -> RunResult 
         } else {
             0.0
         },
-        p50_nanos: latency.p50_nanos(),
-        p95_nanos: latency.p95_nanos(),
+        p50_nanos: latency.percentile(0.50),
+        p95_nanos: latency.percentile(0.95),
         align_nanos,
         refine_nanos,
         comparisons,

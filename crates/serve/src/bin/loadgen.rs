@@ -38,7 +38,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: loadgen --addr HOST:PORT [--events N] [--sources N] [--conns N] \
          [--rate EV_PER_S] [--seed N] [--scenario NAME] [--json PATH] [--quick] \
-         [--stats] [--metrics] \
+         [--metrics] \
          [--shutdown] [--partition-file PATH] [--query-only] \
          [--replicas HOST:PORT,HOST:PORT] [--queries N]\n\
          scenarios: {}\n\
@@ -83,7 +83,6 @@ fn main() {
     let mut sources: u32 = 8;
     let mut seed: u64 = 0;
     let mut json: Option<PathBuf> = None;
-    let mut want_stats = false;
     let mut want_metrics = false;
     let mut want_shutdown = false;
     let mut query_only = false;
@@ -121,7 +120,6 @@ fn main() {
                 sources = 4;
                 opts.connections = 2;
             }
-            "--stats" => want_stats = true,
             "--metrics" => want_metrics = true,
             "--shutdown" => want_shutdown = true,
             "--query-only" => query_only = true,
@@ -281,7 +279,7 @@ fn main() {
         eprintln!("wrote partition ({} stories) to {}", stories.len(), path.display());
     }
 
-    if want_stats || want_metrics || want_shutdown {
+    if want_metrics || want_shutdown {
         let mut client = match Client::connect(addr.as_str()) {
             Ok(c) => c,
             Err(e) => {
@@ -289,15 +287,6 @@ fn main() {
                 std::process::exit(1);
             }
         };
-        if want_stats {
-            match client.stats() {
-                Ok(stats) => print!("{}", stats.render()),
-                Err(e) => {
-                    eprintln!("loadgen: stats failed: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
         if want_metrics {
             match client.metrics() {
                 Ok(text) => print!("{text}"),

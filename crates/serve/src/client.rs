@@ -8,7 +8,6 @@ use storypivot_substrate::rng::splitmix64;
 use storypivot_types::{DocId, Error, Result, Snippet, SourceId, SourceKind, StoryId};
 
 use crate::proto::{frame, read_frame, Request, Response, StorySummary};
-use crate::stats::ServeStats;
 
 /// The outcome of a single-snippet ingest: a story assignment, a BUSY
 /// push-back from a full shard queue, or a SHED drop from a write that
@@ -245,26 +244,6 @@ impl Client {
         }
     }
 
-    /// Ingest one snippet, sleeping out BUSY replies up to `max_retries`
-    /// times. Returns the story id and how many retries were needed.
-    pub fn ingest_retry(&mut self, snippet: &Snippet, max_retries: u32) -> Result<(StoryId, u32)> {
-        let mut retries = 0;
-        loop {
-            match self.ingest(snippet)? {
-                IngestReply::Assigned(story) => return Ok((story, retries)),
-                IngestReply::Busy { retry_after_ms } | IngestReply::Shed { retry_after_ms } => {
-                    if retries >= max_retries {
-                        return Err(Error::Io(format!(
-                            "shard still busy after {max_retries} retries"
-                        )));
-                    }
-                    retries += 1;
-                    std::thread::sleep(Duration::from_millis(retry_after_ms.max(1) as u64));
-                }
-            }
-        }
-    }
-
     /// Ingest one snippet with jittered exponential backoff on BUSY and
     /// SHED. Returns the story id and the per-kind retry counts; once
     /// `policy.max_attempts` tries all came back pushed-back the typed
@@ -339,14 +318,6 @@ impl Client {
         match self.request_ok(&Request::Metrics)? {
             Response::Metrics { text } => Ok(text),
             other => Err(unexpected("Metrics", &other)),
-        }
-    }
-
-    /// Per-shard serving statistics.
-    pub fn stats(&mut self) -> Result<ServeStats> {
-        match self.request_ok(&Request::Stats)? {
-            Response::Stats(stats) => Ok(stats),
-            other => Err(unexpected("Stats", &other)),
         }
     }
 

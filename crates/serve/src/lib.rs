@@ -16,12 +16,11 @@
 //!   worker panics are supervised (engine rebuild, two-strike
 //!   dead-letter quarantine). Graceful SHUTDOWN drains every queue and
 //!   writes a final checkpoint per shard.
-//! - [`stats`] — per-shard counters and ingest-latency percentiles
-//!   surfaced through the STATS frame. The METRICS frame goes further:
-//!   each shard's private `substrate::metrics::Registry` (engine
-//!   counters, WAL timings, per-shard serving gauges) is snapshotted
-//!   and merged — counters summed, histograms merged bucket-wise — into
-//!   one Prometheus-style text exposition.
+//! - METRICS — the one observability surface: each shard's private
+//!   `substrate::metrics::Registry` (engine counters, WAL timings,
+//!   per-shard serving counters and gauges, labeled `shard="N"`) is
+//!   snapshotted and merged — counters summed, histograms merged
+//!   bucket-wise — into one Prometheus-style text exposition.
 //! - [`snapshot`] — epoch-versioned, immutable per-shard read
 //!   snapshots. Shard workers publish them on a freshness policy
 //!   (`--snapshot-every-ops` / `--snapshot-max-age-ms`); I/O workers
@@ -50,7 +49,6 @@ pub mod proto;
 pub mod replica;
 pub mod server;
 pub mod snapshot;
-pub mod stats;
 
 pub use client::{BackoffPolicy, Client, IngestReply, ReplDelivery, RetryStats};
 pub use snapshot::{ShardSnapshot, SnapshotSlot};
@@ -60,4 +58,3 @@ pub use load::{
 };
 pub use proto::{Request, Response, StorySummary, MAX_FRAME_LEN};
 pub use server::{serve, ServerConfig, ServerHandle, POISON_HEADLINE};
-pub use stats::{ServeStats, ShardStats};

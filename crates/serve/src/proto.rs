@@ -7,7 +7,8 @@
 //! ```
 //!
 //! where `len` counts the opcode plus body. Requests use opcodes
-//! `0x01..=0x0A`, responses `0x81..=0x8F`; snippets and sources reuse
+//! `0x01..=0x0A`, responses `0x81..=0x8F` (`0x07`/`0x87` are
+//! unassigned and decode as garbage); snippets and sources reuse
 //! the store's binary codec, so a served snippet is byte-identical to a
 //! checkpointed one. Every decode path bounds-checks before touching
 //! bytes: torn frames, oversized length prefixes, garbage opcodes, and
@@ -28,8 +29,6 @@ use storypivot_types::{
     DocId, Error, Result, Snippet, SnippetId, SourceId, SourceKind, StoryId, TimeRange,
 };
 
-use crate::stats::{ServeStats, ShardStats};
-
 /// Upper bound on one frame's payload (opcode + body). A length prefix
 /// above this is rejected *before* any allocation, so a hostile or
 /// corrupt peer cannot make the server reserve gigabytes.
@@ -49,8 +48,6 @@ pub const OP_QUERY_STORIES: u8 = 0x04;
 pub const OP_GET_STORY: u8 = 0x05;
 /// Remove a document everywhere (body: doc u32).
 pub const OP_REMOVE_DOC: u8 = 0x06;
-/// Fetch per-shard serving statistics (empty body).
-pub const OP_STATS: u8 = 0x07;
 /// Drain, checkpoint, and stop the server (empty body).
 pub const OP_SHUTDOWN: u8 = 0x08;
 /// Fetch the merged metrics exposition (empty body).
@@ -73,8 +70,6 @@ pub const OP_STORIES: u8 = 0x84;
 pub const OP_STORY: u8 = 0x85;
 /// Document removed (body: count u32).
 pub const OP_REMOVED: u8 = 0x86;
-/// Serving statistics (body: shard count u32, shard stats).
-pub const OP_STATS_REPLY: u8 = 0x87;
 /// Server drained and checkpointed (empty body).
 pub const OP_SHUTDOWN_ACK: u8 = 0x88;
 /// Shard queue full — retry later (body: retry_after_ms u32).
@@ -179,8 +174,6 @@ pub enum Request {
     GetStory(StoryId),
     /// Remove a document from every shard.
     RemoveDoc(DocId),
-    /// Per-shard serving statistics.
-    Stats,
     /// Drain queues, checkpoint every shard, stop the server.
     Shutdown,
     /// The merged Prometheus-style metrics exposition across shards.
@@ -230,7 +223,6 @@ impl Request {
                 buf.put_u8(OP_REMOVE_DOC);
                 buf.put_u32_le(doc.raw());
             }
-            Request::Stats => buf.put_u8(OP_STATS),
             Request::Shutdown => buf.put_u8(OP_SHUTDOWN),
             Request::Metrics => buf.put_u8(OP_METRICS),
             Request::ReplSubscribe {
@@ -275,7 +267,6 @@ impl Request {
             OP_QUERY_STORIES => Request::QueryStories,
             OP_GET_STORY => Request::GetStory(StoryId::new(get_u32(buf, "story id")?)),
             OP_REMOVE_DOC => Request::RemoveDoc(DocId::new(get_u32(buf, "doc id")?)),
-            OP_STATS => Request::Stats,
             OP_SHUTDOWN => Request::Shutdown,
             OP_METRICS => Request::Metrics,
             OP_REPL_SUBSCRIBE => Request::ReplSubscribe {
@@ -299,7 +290,7 @@ impl Request {
 //
 // The multiplexed server decodes every inbound frame directly out of
 // the connection's pooled read buffer. For the small control frames
-// that dominate steady-state traffic (GET_STORY, STATS, QUERY, …) the
+// that dominate steady-state traffic (GET_STORY, METRICS, QUERY, …) the
 // borrowed path performs zero heap allocations: strings stay `&str`
 // views into the frame, and variable-size payloads (snippets, batches,
 // summaries) are *validated* in place — every bounds, opcode, UTF-8,
@@ -437,8 +428,6 @@ pub enum RequestRef<'a> {
     GetStory(StoryId),
     /// Remove a document from every shard.
     RemoveDoc(DocId),
-    /// Per-shard serving statistics.
-    Stats,
     /// Drain queues, checkpoint every shard, stop the server.
     Shutdown,
     /// The merged metrics exposition across shards.
@@ -469,7 +458,6 @@ impl RequestRef<'_> {
             RequestRef::QueryStories => Request::QueryStories,
             RequestRef::GetStory(id) => Request::GetStory(id),
             RequestRef::RemoveDoc(doc) => Request::RemoveDoc(doc),
-            RequestRef::Stats => Request::Stats,
             RequestRef::Shutdown => Request::Shutdown,
             RequestRef::Metrics => Request::Metrics,
             RequestRef::ReplSubscribe {
@@ -521,7 +509,6 @@ impl Request {
             OP_QUERY_STORIES => RequestRef::QueryStories,
             OP_GET_STORY => RequestRef::GetStory(StoryId::new(get_u32(buf, "story id")?)),
             OP_REMOVE_DOC => RequestRef::RemoveDoc(DocId::new(get_u32(buf, "doc id")?)),
-            OP_STATS => RequestRef::Stats,
             OP_SHUTDOWN => RequestRef::Shutdown,
             OP_METRICS => RequestRef::Metrics,
             OP_REPL_SUBSCRIBE => RequestRef::ReplSubscribe {
@@ -620,34 +607,6 @@ impl<'a> Iterator for SummaryIter<'a> {
     }
 }
 
-/// Validated, still-encoded per-shard statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StatsRef<'a> {
-    count: u32,
-    raw: &'a [u8],
-}
-
-impl StatsRef<'_> {
-    /// Number of shard entries.
-    pub fn len(&self) -> usize {
-        self.count as usize
-    }
-
-    /// Whether there are no shard entries.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Materialise the statistics.
-    pub fn to_owned(&self) -> ServeStats {
-        let mut rest = self.raw;
-        let shards = (0..self.count)
-            .map(|_| ShardStats::decode(&mut rest).expect("StatsRef wraps a validated encoding"))
-            .collect();
-        ServeStats { shards }
-    }
-}
-
 /// A server → client message decoded without copying out of the frame.
 ///
 /// Produced by [`Response::decode_borrowed`]; accepts and rejects
@@ -666,8 +625,6 @@ pub enum ResponseRef<'a> {
     Story(SummaryRef<'a>),
     /// How many snippets a document removal evicted.
     Removed(u32),
-    /// Per-shard statistics (validated, not yet materialised).
-    Stats(StatsRef<'a>),
     /// The server drained every queue and wrote its checkpoint.
     ShutdownAck,
     /// The metrics exposition text, borrowed from the frame.
@@ -730,7 +687,6 @@ impl ResponseRef<'_> {
             ResponseRef::Stories(s) => Response::Stories(s.to_owned()),
             ResponseRef::Story(s) => Response::Story(s.to_owned()),
             ResponseRef::Removed(n) => Response::Removed(n),
-            ResponseRef::Stats(s) => Response::Stats(s.to_owned()),
             ResponseRef::ShutdownAck => Response::ShutdownAck,
             ResponseRef::Metrics { text } => Response::Metrics {
                 text: text.to_string(),
@@ -795,15 +751,6 @@ impl Response {
                 ResponseRef::Story(SummaryRef { raw })
             }
             OP_REMOVED => ResponseRef::Removed(get_u32(buf, "removed count")?),
-            OP_STATS_REPLY => {
-                let n = get_u32(buf, "shard count")?;
-                let raw = take(
-                    buf,
-                    (n as usize).saturating_mul(ShardStats::ENCODED_LEN),
-                    "shard stats",
-                )?;
-                ResponseRef::Stats(StatsRef { count: n, raw })
-            }
             OP_SHUTDOWN_ACK => ResponseRef::ShutdownAck,
             OP_METRICS_REPLY => ResponseRef::Metrics {
                 text: get_str_ref(buf, "metrics text")?,
@@ -910,8 +857,6 @@ pub enum Response {
     Story(StorySummary),
     /// How many snippets a document removal evicted.
     Removed(u32),
-    /// Per-shard serving statistics.
-    Stats(ServeStats),
     /// The server drained every queue and wrote its checkpoint.
     ShutdownAck,
     /// The merged metrics exposition text.
@@ -1050,13 +995,6 @@ impl Response {
                 buf.put_u8(OP_REMOVED);
                 buf.put_u32_le(*n);
             }
-            Response::Stats(stats) => {
-                buf.put_u8(OP_STATS_REPLY);
-                buf.put_u32_le(stats.shards.len() as u32);
-                for s in &stats.shards {
-                    s.encode(buf);
-                }
-            }
             Response::ShutdownAck => buf.put_u8(OP_SHUTDOWN_ACK),
             Response::Metrics { text } => {
                 buf.put_u8(OP_METRICS_REPLY);
@@ -1124,15 +1062,6 @@ impl Response {
             }
             OP_STORY => Response::Story(decode_summary(buf)?),
             OP_REMOVED => Response::Removed(get_u32(buf, "removed count")?),
-            OP_STATS_REPLY => {
-                let n = get_u32(buf, "shard count")? as usize;
-                need(buf, n.saturating_mul(ShardStats::ENCODED_LEN), "shard stats")?;
-                let mut shards = Vec::with_capacity(n);
-                for _ in 0..n {
-                    shards.push(ShardStats::decode(buf)?);
-                }
-                Response::Stats(ServeStats { shards })
-            }
             OP_SHUTDOWN_ACK => Response::ShutdownAck,
             OP_METRICS_REPLY => Response::Metrics {
                 text: get_str(buf, "metrics text")?,
@@ -1171,58 +1100,6 @@ impl Response {
             )));
         }
         Ok(resp)
-    }
-}
-
-// ---- shard-stats codec (kept next to the other wire formats) ---------
-
-impl ShardStats {
-    /// Fixed encoded size in bytes.
-    pub const ENCODED_LEN: usize = 4 * 5 + 8 * 12;
-
-    /// Append the wire encoding.
-    pub fn encode(&self, buf: &mut impl BufMut) {
-        buf.put_u32_le(self.shard);
-        buf.put_u32_le(self.sources);
-        buf.put_u32_le(self.queue_depth);
-        buf.put_u32_le(self.queue_capacity);
-        buf.put_u32_le(self.stories as u32);
-        buf.put_u64_le(self.snippets);
-        buf.put_u64_le(self.ingested);
-        buf.put_u64_le(self.queries);
-        buf.put_u64_le(self.busy_rejections);
-        buf.put_u64_le(self.ingest_count);
-        buf.put_u64_le(self.ingest_p50_ns);
-        buf.put_u64_le(self.ingest_p95_ns);
-        buf.put_u64_le(self.ingest_p99_ns);
-        buf.put_u64_le(self.wal_bytes);
-        buf.put_u64_le(self.last_checkpoint_age_ops);
-        buf.put_u64_le(self.restarts);
-        buf.put_u64_le(self.quarantined);
-    }
-
-    /// Decode one shard's stats.
-    pub fn decode(buf: &mut impl Buf) -> Result<ShardStats> {
-        need(buf, Self::ENCODED_LEN, "shard stats")?;
-        Ok(ShardStats {
-            shard: buf.get_u32_le(),
-            sources: buf.get_u32_le(),
-            queue_depth: buf.get_u32_le(),
-            queue_capacity: buf.get_u32_le(),
-            stories: buf.get_u32_le() as u64,
-            snippets: buf.get_u64_le(),
-            ingested: buf.get_u64_le(),
-            queries: buf.get_u64_le(),
-            busy_rejections: buf.get_u64_le(),
-            ingest_count: buf.get_u64_le(),
-            ingest_p50_ns: buf.get_u64_le(),
-            ingest_p95_ns: buf.get_u64_le(),
-            ingest_p99_ns: buf.get_u64_le(),
-            wal_bytes: buf.get_u64_le(),
-            last_checkpoint_age_ops: buf.get_u64_le(),
-            restarts: buf.get_u64_le(),
-            quarantined: buf.get_u64_le(),
-        })
     }
 }
 
@@ -1361,7 +1238,6 @@ mod tests {
         round_trip_request(Request::QueryStories);
         round_trip_request(Request::GetStory(StoryId::new(513)));
         round_trip_request(Request::RemoveDoc(DocId::new(5)));
-        round_trip_request(Request::Stats);
         round_trip_request(Request::Shutdown);
         round_trip_request(Request::Metrics);
         round_trip_request(Request::ReplSubscribe {
@@ -1383,27 +1259,6 @@ mod tests {
             members: vec![SnippetId::new(1), SnippetId::new(2)],
         }]));
         round_trip_response(Response::Removed(3));
-        round_trip_response(Response::Stats(ServeStats {
-            shards: vec![ShardStats {
-                shard: 1,
-                sources: 2,
-                queue_depth: 3,
-                queue_capacity: 64,
-                stories: 17,
-                snippets: 1000,
-                ingested: 999,
-                queries: 5,
-                busy_rejections: 7,
-                ingest_count: 999,
-                ingest_p50_ns: 1_000,
-                ingest_p95_ns: 5_000,
-                ingest_p99_ns: 9_000,
-                wal_bytes: 4096,
-                last_checkpoint_age_ops: 42,
-                restarts: 1,
-                quarantined: 2,
-            }],
-        }));
         round_trip_response(Response::ShutdownAck);
         round_trip_response(Response::Metrics {
             text: "# HELP storypivot_ingest_total Snippets ingested.\n\
@@ -1460,6 +1315,13 @@ mod tests {
         assert!(matches!(Request::decode(&[0x7F]), Err(Error::Codec(_))));
         assert!(matches!(Response::decode(&[0x01]), Err(Error::Codec(_))));
         assert!(matches!(Request::decode(&[]), Err(Error::Codec(_))));
+        // Unassigned opcodes in the middle of the range, with a body
+        // shaped like a count-prefixed reply, are garbage too.
+        assert!(matches!(Request::decode(&[0x07]), Err(Error::Codec(_))));
+        assert!(Request::decode_borrowed(&[0x07]).is_err());
+        let old_reply = [0x87, 0, 0, 0, 0];
+        assert!(matches!(Response::decode(&old_reply), Err(Error::Codec(_))));
+        assert!(Response::decode_borrowed(&old_reply).is_err());
     }
 
     #[test]
@@ -1487,7 +1349,7 @@ mod tests {
         let err = read_frame(&mut &[1u8, 0][..]).unwrap_err();
         assert!(err.to_string().contains("torn"), "{err}");
         // EOF inside the body.
-        let full = frame(|b| Request::Stats.encode(b));
+        let full = frame(|b| Request::Metrics.encode(b));
         let err = read_frame(&mut &full[..full.len() - 1][..]).unwrap_err();
         assert!(err.to_string().contains("torn"), "{err}");
         // Zero-length frame.
@@ -1527,7 +1389,6 @@ mod tests {
             Request::QueryStories,
             Request::GetStory(StoryId::new(513)),
             Request::RemoveDoc(DocId::new(5)),
-            Request::Stats,
             Request::Shutdown,
             Request::Metrics,
             Request::ReplSubscribe {
@@ -1631,7 +1492,7 @@ mod tests {
 
     #[test]
     fn frame_ready_tracks_partial_frames() {
-        let full = frame(|b| Request::Stats.encode(b));
+        let full = frame(|b| Request::Metrics.encode(b));
         for cut in 0..full.len() {
             assert_eq!(frame_ready(&full[..cut]).unwrap(), None, "cut {cut}");
         }

@@ -32,7 +32,7 @@
 //! ingest hits a full queue the worker replies BUSY with a retry-after
 //! hint instead of buffering — memory is bounded by
 //! `shards × queue_depth` jobs no matter how fast clients push. Batch
-//! ingests and control frames (query/stats/shutdown) want
+//! ingests and control frames (remove/metrics/shutdown) want
 //! backpressure, not retries: their pushes park in a pending list (the
 //! connection stops parsing, preserving per-connection order) and are
 //! retried until queue space frees up.
@@ -57,8 +57,8 @@
 //! notice. An operation that panics the shard *again* during the
 //! rebuild replay is quarantined: appended to the shard's dead-letter
 //! file (`shard{i}.dead`), skipped by all future replays, and rejected
-//! if resubmitted. STATS reports `restarts` and `quarantined` per
-//! shard.
+//! if resubmitted. METRICS reports both per shard
+//! (`storypivot_shard_restarts`, `storypivot_shard_quarantined`).
 //!
 //! SHUTDOWN drains: a dedicated orchestrator thread pushes a `Drain`
 //! job behind all accepted work on every shard, each shard flushes its
@@ -70,12 +70,15 @@
 //! # Observability
 //!
 //! Each shard owns a private [`substrate::metrics::Registry`]; its
-//! engine, WAL, and the per-shard serving gauges (queue depth,
-//! restarts, quarantined ops, BUSY rejections — labeled `shard="N"`)
-//! all record into it. The server additionally keeps one registry for
-//! the I/O layer: open connections, pipeline depth, buffer-pool
-//! checkouts and byte high-water, and transient accept failures. The
-//! `METRICS` opcode snapshots every shard's registry plus the server
+//! engine, WAL, and the per-shard serving series (queue depth, sources,
+//! stories, snippets, WAL bytes, checkpoint age, restarts, quarantined
+//! ops, snapshot reads, BUSY rejections — labeled `shard="N"`) all
+//! record into it. I/O workers hold clones of the shard's read counter
+//! and BUSY gauge and bump them directly, so the registry is the only
+//! place a serving counter lives. The server additionally keeps one
+//! registry for the I/O layer: open connections, pipeline depth,
+//! buffer-pool checkouts and byte high-water, and transient accept
+//! failures. The `METRICS` opcode snapshots every shard's registry plus the server
 //! registry, merges the snapshots (counters add, histograms merge
 //! bucket-wise), and renders one Prometheus-style text exposition.
 //! Each shard also keeps a fixed-capacity [`substrate::trace::TraceRing`]
@@ -105,7 +108,6 @@ use storypivot_substrate::metrics::{Counter, Gauge, HistogramMetric, Registry, S
 use storypivot_substrate::net;
 use storypivot_substrate::pool::{BufferPool, PooledBuf};
 use storypivot_substrate::queue::{Bounded, PushError};
-use storypivot_substrate::timing::Histogram;
 use storypivot_substrate::trace::TraceRing;
 use storypivot_substrate::wal::{self, SyncPolicy, Wal, WalMetrics};
 use storypivot_types::{DocId, Error, Result, Snippet, Source, SourceId, StoryId};
@@ -113,7 +115,6 @@ use storypivot_types::{DocId, Error, Result, Snippet, Source, SourceId, StoryId}
 use crate::proto::{frame_into, frame_ready, Request, RequestRef, Response, StorySummary};
 use crate::replica;
 use crate::snapshot::{ShardSnapshot, SnapshotSlot};
-use crate::stats::{ServeStats, ShardStats};
 
 /// The maximum number of sources the story-id partitioning scheme
 /// supports (see `core::identify::STORY_ID_STRIDE`).
@@ -268,7 +269,6 @@ pub(crate) enum Job {
     Ingest(Snippet, Reply, Instant),
     IngestMany(Vec<Snippet>, Reply),
     RemoveDoc(DocId, Reply),
-    Stats(Reply),
     /// Snapshot the shard's metrics registry (merged by the I/O layer).
     Metrics(SnapReply),
     /// Flush + checkpoint; the shard replies once its state is durable.
@@ -494,7 +494,6 @@ fn fail_job(job: Job, resp: Response) {
         | Job::Ingest(_, r, _)
         | Job::IngestMany(_, r)
         | Job::RemoveDoc(_, r)
-        | Job::Stats(r)
         | Job::Drain(r)
         | Job::Repl { reply: r, .. } => r(resp),
         Job::Metrics(_) => {}
@@ -563,13 +562,12 @@ impl IoMetrics {
 /// replica pullers, and [`ServerHandle`].
 pub(crate) struct Shared {
     queues: Vec<Bounded<Job>>,
-    busy_counters: Vec<Arc<AtomicU64>>,
+    /// Each shard's serving handles; I/O workers bump the read counter
+    /// and the BUSY gauge straight into the shard's registry.
+    shard_metrics: Vec<ShardServeMetrics>,
     /// One published read snapshot per shard; I/O workers answer
     /// QUERY_STORIES/GET_STORY from these without touching the queues.
     snapshots: Vec<SnapshotSlot>,
-    /// Per-shard query counters, bumped by I/O workers on the
-    /// snapshot-read path and folded into STATS by the shard.
-    query_counters: Vec<Arc<AtomicU64>>,
     /// `Some(addr)` when this server is a read-only follower replica:
     /// writes are answered with a NOT_LEADER redirect to `addr`.
     leader: Option<String>,
@@ -719,11 +717,7 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
     listener.set_nonblocking(true)?;
 
     let queues: Vec<Bounded<Job>> = (0..cfg.shards).map(|_| Bounded::new(cfg.queue_depth)).collect();
-    let busy_counters: Vec<Arc<AtomicU64>> =
-        (0..cfg.shards).map(|_| Arc::new(AtomicU64::new(0))).collect();
     let snapshots: Vec<SnapshotSlot> = (0..cfg.shards).map(|_| SnapshotSlot::new()).collect();
-    let query_counters: Vec<Arc<AtomicU64>> =
-        (0..cfg.shards).map(|_| Arc::new(AtomicU64::new(0))).collect();
     let service_ewma_ns: Vec<Arc<AtomicU64>> =
         (0..cfg.shards).map(|_| Arc::new(AtomicU64::new(0))).collect();
 
@@ -736,13 +730,13 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
         shard_workers.push(ShardWorker::recover(
             idx,
             &cfg,
-            Arc::clone(&busy_counters[idx]),
             queue.clone(),
-            Arc::clone(&query_counters[idx]),
             snapshots[idx].clone(),
             Arc::clone(&service_ewma_ns[idx]),
         )?);
     }
+    let shard_metrics: Vec<ShardServeMetrics> =
+        shard_workers.iter().map(|w| w.serve_metrics.clone()).collect();
     // Resume source-id allocation past everything the checkpoints and
     // WALs brought back.
     let next_source = shard_workers
@@ -768,9 +762,8 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
     let io_metrics = IoMetrics::register(&registry);
     let shared = Arc::new(Shared {
         queues: queues.clone(),
-        busy_counters,
+        shard_metrics,
         snapshots,
-        query_counters,
         leader: cfg.leader.clone(),
         next_source: AtomicU32::new(next_source),
         shutting_down: AtomicBool::new(false),
@@ -1359,7 +1352,7 @@ impl IoWorker {
                 match self.shared.queues[shard].try_push(job) {
                     Ok(()) => {}
                     Err(PushError::Full(job)) => {
-                        self.shared.busy_counters[shard].fetch_add(1, Ordering::Relaxed);
+                        self.shared.shard_metrics[shard].busy_rejections.add(1);
                         fail_job(
                             job,
                             Response::Busy {
@@ -1420,7 +1413,7 @@ impl IoWorker {
                 for (shard, slot) in self.shared.snapshots.iter().enumerate() {
                     let snap = slot.load();
                     stories.extend_from_slice(&snap.stories);
-                    self.shared.query_counters[shard].fetch_add(1, Ordering::Relaxed);
+                    self.shared.shard_metrics[shard].queries.inc();
                     self.shared.note_degraded_read(shard);
                 }
                 stories.sort_unstable_by_key(|s: &StorySummary| s.id);
@@ -1428,7 +1421,7 @@ impl IoWorker {
             }
             RequestRef::GetStory(story) => {
                 let shard = self.shared.shard_of_source(story_source(story));
-                self.shared.query_counters[shard].fetch_add(1, Ordering::Relaxed);
+                self.shared.shard_metrics[shard].queries.inc();
                 self.shared.note_degraded_read(shard);
                 let resp = match self.shared.snapshots[shard].load().get(story) {
                     Some(summary) => Response::Story(summary.clone()),
@@ -1478,31 +1471,15 @@ impl IoWorker {
                     }
                 }),
             ),
-            RequestRef::Stats => self.broadcast(
-                id,
-                dest,
-                Job::Stats,
-                Box::new(|parts| {
-                    let mut shards = Vec::new();
-                    for r in parts {
-                        match r {
-                            Response::Stats(s) => shards.extend(s.shards),
-                            other => return other,
-                        }
-                    }
-                    shards.sort_unstable_by_key(|s: &ShardStats| s.shard);
-                    Response::Stats(ServeStats { shards })
-                }),
-            ),
             RequestRef::Shutdown => self.handle_shutdown(dest),
             RequestRef::Metrics => {
                 // Snapshot every shard's registry plus the I/O layer's
                 // own, merge, and render one exposition.
-                let n = self.shared.queues.len();
                 let shared = Arc::clone(&self.shared);
-                let fan = FanIn::new(
+                self.broadcast(
+                    id,
                     dest,
-                    n,
+                    Job::Metrics,
                     Box::new(move |snaps: Vec<Snapshot>| {
                         shared.sync_io_gauges();
                         let mut merged = shared.registry.snapshot();
@@ -1514,22 +1491,17 @@ impl IoWorker {
                         }
                     }),
                 );
-                let mut jobs = VecDeque::with_capacity(n);
-                for shard in 0..n {
-                    jobs.push_back((shard, Job::Metrics(part_reply(Arc::clone(&fan), shard))));
-                }
-                self.push_jobs(id, jobs);
             }
         }
     }
 
     /// Fan one job out to every shard and merge the replies.
-    fn broadcast(
+    fn broadcast<T: Send + 'static>(
         &mut self,
         conn_id: u64,
         dest: Dest,
-        make_job: impl Fn(Reply) -> Job,
-        merge: MergeFn<Response>,
+        make_job: impl Fn(Box<dyn FnOnce(T) + Send>) -> Job,
+        merge: MergeFn<T>,
     ) {
         let n = self.shared.queues.len();
         let fan = FanIn::new(dest, n, merge);
@@ -1792,9 +1764,16 @@ fn apply_live(engine: &mut DynamicPivot, op: &ReplayOp) -> Result<Applied> {
 
 /// Per-shard serving-layer metric handles, labeled `shard="N"` so the
 /// merged exposition keeps them distinguishable across shards.
+#[derive(Clone)]
 struct ShardServeMetrics {
     queue_depth: Gauge,
     queue_capacity: Gauge,
+    sources: Gauge,
+    stories: Gauge,
+    snippets: Gauge,
+    wal_bytes: Gauge,
+    checkpoint_age_ops: Gauge,
+    queries: Counter,
     restarts: Gauge,
     quarantined: Gauge,
     busy_rejections: Gauge,
@@ -1817,6 +1796,38 @@ impl ShardServeMetrics {
             queue_capacity: registry.gauge_with(
                 "storypivot_shard_queue_capacity",
                 "Capacity of the shard's bounded queue.",
+                labels,
+            ),
+            sources: registry.gauge_with(
+                "storypivot_shard_sources",
+                "Sources registered on the shard.",
+                labels,
+            ),
+            stories: registry.gauge_with(
+                "storypivot_shard_stories",
+                "Per-source stories alive on the shard.",
+                labels,
+            ),
+            snippets: registry.gauge_with(
+                "storypivot_shard_snippets",
+                "Snippets stored on the shard.",
+                labels,
+            ),
+            wal_bytes: registry.gauge_with(
+                "storypivot_shard_wal_bytes",
+                "Bytes in the shard's write-ahead log (0 when journaling is off \
+                 or a checkpoint just truncated it).",
+                labels,
+            ),
+            checkpoint_age_ops: registry.gauge_with(
+                "storypivot_shard_checkpoint_age_ops",
+                "Mutations applied since the shard's last checkpoint (the replay \
+                 debt a crash right now would incur).",
+                labels,
+            ),
+            queries: registry.counter_with(
+                "storypivot_shard_queries_total",
+                "Snapshot reads (QUERY_STORIES, GET_STORY) served for the shard.",
                 labels,
             ),
             restarts: registry.gauge_with(
@@ -1865,12 +1876,6 @@ struct ShardWorker {
     /// Engine config + pipeline policy, kept for rebuilds.
     pivot_cfg: PivotConfig,
     policy: PipelinePolicy,
-    hist: Histogram,
-    ingested: u64,
-    /// Shared with the I/O workers, which bump it on the snapshot read
-    /// path; the shard only reads it for STATS.
-    queries: Arc<AtomicU64>,
-    busy: Arc<AtomicU64>,
     /// EWMA of single-snippet ingest service time in nanoseconds,
     /// shared with the I/O workers so BUSY/SHED retry hints scale with
     /// how long the queued work will actually take to drain.
@@ -1916,8 +1921,6 @@ struct ShardWorker {
     /// Newest checkpoint generation written or loaded so far.
     generation: u64,
     ops_since_checkpoint: u64,
-    restarts: u64,
-    quarantined: u64,
     /// Panic count per op fingerprint; two strikes quarantine.
     strikes: HashMap<u64, u32>,
     /// Fingerprints of dead-lettered ops: skipped on replay, rejected
@@ -1932,9 +1935,7 @@ impl ShardWorker {
     fn recover(
         idx: usize,
         cfg: &ServerConfig,
-        busy: Arc<AtomicU64>,
         queue: Bounded<Job>,
-        queries: Arc<AtomicU64>,
         slot: SnapshotSlot,
         service_ewma: Arc<AtomicU64>,
     ) -> Result<ShardWorker> {
@@ -1947,15 +1948,12 @@ impl ShardWorker {
         let trace_path = state_dir.map(|d| d.join(format!("shard{idx}.trace")));
 
         let mut quarantine = HashSet::new();
-        let mut quarantined = 0u64;
         if let Some(path) = &dead_path {
             match wal::scan(path) {
                 Ok(scan) => {
                     for payload in &scan.records {
                         if let Ok(op) = ReplayOp::decode(payload) {
-                            if quarantine.insert(op.fingerprint()) {
-                                quarantined += 1;
-                            }
+                            quarantine.insert(op.fingerprint());
                         }
                     }
                 }
@@ -1969,16 +1967,14 @@ impl ShardWorker {
         let registry = Registry::new();
         let engine_metrics = EngineMetrics::register(&registry);
         let serve_metrics = ShardServeMetrics::register(&registry, idx);
+        serve_metrics.quarantined.set(quarantine.len() as i64);
+        serve_metrics.queue_capacity.set(queue.capacity() as i64);
 
         let mut worker = ShardWorker {
             idx,
             engine: DynamicPivot::new(cfg.pivot.clone(), policy),
             pivot_cfg: cfg.pivot.clone(),
             policy,
-            hist: Histogram::new(),
-            ingested: 0,
-            queries,
-            busy,
             service_ewma,
             deadline: Duration::from_millis(cfg.deadline_ms),
             retry_floor_ms: cfg.retry_after_ms,
@@ -2009,8 +2005,6 @@ impl ShardWorker {
             dead: None,
             generation: 0,
             ops_since_checkpoint: 0,
-            restarts: 0,
-            quarantined,
             strikes: HashMap::new(),
             quarantine,
         };
@@ -2090,7 +2084,6 @@ impl ShardWorker {
                 }
                 Job::IngestMany(batch, reply) => reply(self.ingest_many(batch)),
                 Job::RemoveDoc(doc, reply) => reply(self.remove_doc(doc)),
-                Job::Stats(reply) => reply(self.stats()),
                 Job::Metrics(reply) => reply(self.metrics_snapshot()),
                 Job::Drain(reply) => reply(self.drain()),
                 Job::Repl {
@@ -2140,7 +2133,7 @@ impl ShardWorker {
                 result
             }
             Err(_) => {
-                self.restarts += 1;
+                self.serve_metrics.restarts.add(1);
                 *self.strikes.entry(fp).or_insert(0) += 1;
                 self.dump_trace(fp);
                 self.rebuild();
@@ -2182,21 +2175,19 @@ impl ShardWorker {
         }
     }
 
-    /// Refresh the serving gauges and snapshot the shard's registry.
-    fn metrics_snapshot(&mut self) -> Snapshot {
-        self.sync_gauges();
-        self.registry.snapshot()
-    }
-
-    fn sync_gauges(&self) {
+    /// Refresh the gauges that mirror engine and journal state, then
+    /// snapshot the shard's registry.
+    fn metrics_snapshot(&self) -> Snapshot {
         let m = &self.serve_metrics;
+        let pivot = self.engine.pivot();
         m.queue_depth.set(self.queue.len() as i64);
-        m.queue_capacity.set(self.queue.capacity() as i64);
-        m.restarts.set(self.restarts as i64);
-        m.quarantined.set(self.quarantined as i64);
-        m.busy_rejections.set(self.busy.load(Ordering::Relaxed) as i64);
-        m.snapshot_epoch.set(self.snapshot_epoch as i64);
-        m.snapshot_age_ops.set(self.snapshot_age_ops as i64);
+        m.sources.set(pivot.sources().len() as i64);
+        m.stories.set(pivot.story_count() as i64);
+        m.snippets.set(pivot.store().len() as i64);
+        m.wal_bytes
+            .set(self.wal.as_ref().map_or(0, Wal::len) as i64);
+        m.checkpoint_age_ops.set(self.ops_since_checkpoint as i64);
+        self.registry.snapshot()
     }
 
     /// Build an immutable, id-sorted copy of the current partition and
@@ -2273,7 +2264,7 @@ impl ShardWorker {
                         self.idx
                     ),
                     Err(_) => {
-                        self.restarts += 1;
+                        self.serve_metrics.restarts.add(1);
                         let strikes = self.strikes.entry(fp).or_insert(0);
                         *strikes += 1;
                         if *strikes >= 2 {
@@ -2327,7 +2318,7 @@ impl ShardWorker {
         if !self.quarantine.insert(fp) {
             return;
         }
-        self.quarantined += 1;
+        self.serve_metrics.quarantined.add(1);
         eprintln!(
             "pivotd: shard {}: quarantining operation {fp:#018x} after repeated panics",
             self.idx
@@ -2445,10 +2436,8 @@ impl ShardWorker {
         match self.mutate(ReplayOp::Ingest(snippet)) {
             Ok(Applied::Story(story)) => {
                 let elapsed = t.elapsed().as_nanos() as u64;
-                self.hist.record(elapsed);
                 self.serve_metrics.ingest_latency.record(elapsed);
                 self.note_service(elapsed);
-                self.ingested += 1;
                 Response::Ingested(story)
             }
             Ok(_) => internal_shape_error(),
@@ -2463,10 +2452,8 @@ impl ShardWorker {
             match self.mutate(ReplayOp::Ingest(snippet)) {
                 Ok(Applied::Story(_)) => {
                     let elapsed = t.elapsed().as_nanos() as u64;
-                    self.hist.record(elapsed);
                     self.serve_metrics.ingest_latency.record(elapsed);
                     self.note_service(elapsed);
-                    self.ingested += 1;
                     count += 1;
                 }
                 Ok(_) => return internal_shape_error(),
@@ -2628,32 +2615,6 @@ impl ShardWorker {
             Ok(_) => internal_shape_error(),
             Err(e) => Response::from_error(&e),
         }
-    }
-
-    fn stats(&mut self) -> Response {
-        self.sync_gauges();
-        let pivot = self.engine.pivot();
-        Response::Stats(ServeStats {
-            shards: vec![ShardStats {
-                shard: self.idx as u32,
-                sources: pivot.sources().len() as u32,
-                queue_depth: self.queue.len() as u32,
-                queue_capacity: self.queue.capacity() as u32,
-                stories: pivot.story_count() as u64,
-                snippets: pivot.store().len() as u64,
-                ingested: self.ingested,
-                queries: self.queries.load(Ordering::Relaxed),
-                busy_rejections: self.busy.load(Ordering::Relaxed),
-                ingest_count: self.hist.count(),
-                ingest_p50_ns: self.hist.percentile(0.50),
-                ingest_p95_ns: self.hist.percentile(0.95),
-                ingest_p99_ns: self.hist.percentile(0.99),
-                wal_bytes: self.wal.as_ref().map_or(0, |w| w.len()),
-                last_checkpoint_age_ops: self.ops_since_checkpoint,
-                restarts: self.restarts,
-                quarantined: self.quarantined,
-            }],
-        })
     }
 
     fn drain(&mut self) -> Response {

@@ -15,6 +15,7 @@ use storypivot_core::pipeline::{DynamicPivot, PipelinePolicy};
 use storypivot_gen::{Corpus, CorpusBuilder, GenConfig};
 use storypivot_serve::client::Client;
 use storypivot_serve::proto::StorySummary;
+use storypivot_substrate::metrics::sample;
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("storypivot-crash-{tag}-{}", std::process::id()));
@@ -207,16 +208,16 @@ fn sigkill_with_periodic_checkpoints_recovers_and_truncates() {
     let mut client = Client::connect(addr).unwrap();
     ingest_all(&mut client, &corpus);
     let before = partition_of_summaries(&client.query_stories().unwrap());
-    let stats = client.stats().unwrap();
+    let text = client.metrics().unwrap();
     drop(client);
     // Size-triggered checkpoints must have fired and truncated: no
     // shard's journal holds anywhere near the whole stream.
-    for s in &stats.shards {
+    for shard in ["0", "1"] {
+        let wal_bytes = sample(&text, "storypivot_shard_wal_bytes", &[("shard", shard)])
+            .unwrap_or_else(|| panic!("shard {shard} wal bytes missing from:\n{text}"));
         assert!(
-            s.wal_bytes < 64 * 1024,
-            "shard {} wal grew to {} bytes despite periodic checkpoints",
-            s.shard,
-            s.wal_bytes
+            wal_bytes < (64 * 1024) as f64,
+            "shard {shard} wal grew to {wal_bytes} bytes despite periodic checkpoints"
         );
     }
     let generations = std::fs::read_dir(&ckpt)

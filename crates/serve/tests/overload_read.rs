@@ -12,6 +12,7 @@ use storypivot_gen::{Corpus, CorpusBuilder, GenConfig};
 use storypivot_serve::client::{BackoffPolicy, Client};
 use storypivot_serve::server::{serve, ServerConfig};
 use storypivot_serve::IngestReply;
+use storypivot_substrate::metrics::sample;
 
 fn corpus(seed: u64, events: usize) -> Corpus {
     CorpusBuilder::new(
@@ -33,18 +34,6 @@ fn register_all(client: &mut Client, corpus: &Corpus) {
 /// Total snippets visible through the served partition.
 fn visible_members(client: &mut Client) -> usize {
     client.query_stories().unwrap().iter().map(|s| s.members.len()).sum()
-}
-
-/// Sum every sample of a (possibly shard-labeled) counter in a
-/// Prometheus-style exposition.
-fn metric_total(exposition: &str, name: &str) -> u64 {
-    exposition
-        .lines()
-        .filter(|l| l.starts_with(name) && !l.starts_with('#'))
-        .filter_map(|l| l.rsplit(' ').next())
-        .filter_map(|v| v.parse::<f64>().ok())
-        .map(|v| v as u64)
-        .sum()
 }
 
 /// `snapshot_every_ops` large enough to never trigger on its own: reads
@@ -82,12 +71,13 @@ fn held_back_writes_republish_within_the_freshness_bound() {
         "resume must republish every write acked before the stall"
     );
 
-    // Any job past the bound flushes the remainder — a read-only stats
-    // probe is enough; no further writes are required.
+    // Any job past the bound flushes the remainder — a read-only
+    // METRICS probe (itself a shard-queue job) is enough; no further
+    // writes are required.
     std::thread::sleep(Duration::from_millis(80));
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let _ = client.stats().unwrap();
+        let _ = client.metrics().unwrap();
         if visible_members(&mut client) == corpus.snippets.len() {
             break;
         }
@@ -174,7 +164,7 @@ fn degraded_reads_never_observe_a_torn_snapshot() {
     // while the queue sat full — the degraded-read counter saw them.
     let exposition = setup.metrics().unwrap();
     assert!(
-        metric_total(&exposition, "storypivot_degraded_reads_total") > 0,
+        sample(&exposition, "storypivot_degraded_reads_total", &[]).unwrap() > 0.0,
         "saturated-queue reads must be counted as degraded"
     );
 
@@ -215,7 +205,7 @@ fn expired_work_is_shed_before_it_touches_the_engine() {
     // Shed before the engine: nothing was applied, only counted.
     assert_eq!(visible_members(&mut client), 0, "shed writes must not reach the engine");
     let exposition = client.metrics().unwrap();
-    assert_eq!(metric_total(&exposition, "storypivot_shed_total"), shed as u64);
+    assert_eq!(sample(&exposition, "storypivot_shed_total", &[("shard", "0")]), Some(shed as f64));
 
     client.shutdown().unwrap();
     handle.join();

@@ -437,7 +437,8 @@ impl Snapshot {
     /// Render as a Prometheus-style text exposition: `# HELP` and
     /// `# TYPE` comments per family, one `name{labels} value` line per
     /// series. Histograms render as summaries — `quantile` series for
-    /// p50/p95/p99 plus `_sum`, `_count`, and a `_max` gauge line.
+    /// p50/p95/p99 plus `_sum` and `_count` lines. [`sample`] reads a
+    /// value back out.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for (name, family) in &self.families {
@@ -477,6 +478,62 @@ impl Snapshot {
         }
         out
     }
+}
+
+/// Read one value back out of a text exposition rendered by
+/// [`Snapshot::render`] — the read half of the format this module
+/// writes. Returns the value of the series called `name` whose label
+/// set equals `labels` exactly (order does not matter), or `None` when
+/// no line matches. A summary's quantiles are addressed with an extra
+/// `("quantile", "0.5")` label, its `_sum`/`_count` lines by their
+/// suffixed names.
+pub fn sample(text: &str, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
+    let mut want: Vec<(String, String)> = labels
+        .iter()
+        .map(|&(k, v)| (k.to_string(), v.to_string()))
+        .collect();
+    want.sort_unstable();
+    text.lines()
+        .filter(|l| !l.starts_with('#'))
+        .find_map(|line| {
+            let (series, value) = line.rsplit_once(' ')?;
+            let (series_name, mut got) = match series.split_once('{') {
+                Some((n, rest)) => (n, parse_labels(rest.strip_suffix('}')?)?),
+                None => (series, Vec::new()),
+            };
+            got.sort_unstable();
+            if series_name == name && got == want {
+                value.parse().ok()
+            } else {
+                None
+            }
+        })
+}
+
+/// Parse a rendered label set (`a="x",b="y\"z"`, braces stripped) into
+/// unescaped `(key, value)` pairs; `None` on malformed input.
+fn parse_labels(s: &str) -> Option<Vec<(String, String)>> {
+    let mut out = Vec::new();
+    let mut rest = s;
+    while !rest.is_empty() {
+        let (key, after) = rest.split_once("=\"")?;
+        let mut value = String::new();
+        let mut chars = after.char_indices();
+        let end = loop {
+            match chars.next()? {
+                (i, '"') => break i,
+                (_, '\\') => match chars.next()?.1 {
+                    'n' => value.push('\n'),
+                    other => value.push(other),
+                },
+                (_, c) => value.push(c),
+            }
+        };
+        out.push((key.to_string(), value));
+        rest = &after[end + 1..];
+        rest = rest.strip_prefix(',').unwrap_or(rest);
+    }
+    Some(out)
 }
 
 fn render_line(name: &str, labels: &str, extra: &[(&str, &str)], value: &str) -> String {
@@ -599,6 +656,86 @@ mod tests {
         for q in [0.5, 0.95, 0.99] {
             assert_eq!(merged.percentile(q), combined.percentile(q));
         }
+    }
+
+    #[test]
+    fn sample_inverts_render() {
+        let reg = Registry::new();
+        reg.counter("storypivot_plain_total", "plain").add(3);
+        reg.counter_with("storypivot_lab_total", "lab", &[("shard", "0")])
+            .add(5);
+        reg.counter_with("storypivot_lab_total", "lab", &[("shard", "1")])
+            .add(7);
+        reg.gauge("storypivot_level", "level").set(-4);
+        reg.gauge_with(
+            "storypivot_pair",
+            "pair",
+            &[("shard", "2"), ("kind", "a\"b,c")],
+        )
+        .set(9);
+        let h = reg.histogram_with("storypivot_lat_ns", "lat", &[("shard", "0")]);
+        let u = reg.histogram("storypivot_bare_ns", "bare");
+        for v in [10u64, 100, 1_000, 10_000] {
+            h.record(v);
+            u.record(v);
+        }
+        let snap = reg.snapshot();
+        let text = snap.render();
+
+        assert_eq!(sample(&text, "storypivot_plain_total", &[]), Some(3.0));
+        assert_eq!(
+            sample(&text, "storypivot_lab_total", &[("shard", "0")]),
+            Some(5.0)
+        );
+        assert_eq!(
+            sample(&text, "storypivot_lab_total", &[("shard", "1")]),
+            Some(7.0)
+        );
+        assert_eq!(sample(&text, "storypivot_level", &[]), Some(-4.0));
+        // Label order does not matter; escaped values round-trip.
+        assert_eq!(
+            sample(
+                &text,
+                "storypivot_pair",
+                &[("kind", "a\"b,c"), ("shard", "2")]
+            ),
+            Some(9.0)
+        );
+        // Summaries: quantiles carry the series' labels plus `quantile`.
+        let hist = snap
+            .histogram_value("storypivot_lat_ns", &[("shard", "0")])
+            .unwrap();
+        for (q, qs) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
+            assert_eq!(
+                sample(
+                    &text,
+                    "storypivot_lat_ns",
+                    &[("quantile", qs), ("shard", "0")]
+                ),
+                Some(hist.percentile(q) as f64)
+            );
+            assert_eq!(
+                sample(&text, "storypivot_bare_ns", &[("quantile", qs)]),
+                Some(hist.percentile(q) as f64)
+            );
+        }
+        assert_eq!(
+            sample(&text, "storypivot_lat_ns_count", &[("shard", "0")]),
+            Some(4.0)
+        );
+        assert_eq!(sample(&text, "storypivot_bare_ns_count", &[]), Some(4.0));
+        let sum = (hist.mean() * 4.0).round();
+        assert_eq!(sample(&text, "storypivot_bare_ns_sum", &[]), Some(sum));
+
+        // A label set must match exactly, and a name is never a prefix.
+        assert_eq!(sample(&text, "storypivot_lab_total", &[]), None);
+        assert_eq!(
+            sample(&text, "storypivot_lab_total", &[("shard", "9")]),
+            None
+        );
+        assert_eq!(sample(&text, "storypivot_plain", &[]), None);
+        assert_eq!(sample(&text, "storypivot_lat_ns", &[("shard", "0")]), None);
+        assert_eq!(sample("", "storypivot_plain_total", &[]), None);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! `std::sync::mpsc::sync_channel` is bounded but hides the current
 //! queue depth and has no close-and-drain semantics, both of which the
-//! serving layer needs: depth feeds the STATS gauges, and close lets a
+//! serving layer needs: depth feeds the METRICS gauges, and close lets a
 //! shard worker drain outstanding work before exiting. This is the
 //! narrow slice of `crossbeam-channel` the workspace actually uses,
 //! built on [`Mutex`] + [`Condvar`].

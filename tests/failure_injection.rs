@@ -173,7 +173,7 @@ mod wire_faults {
     use std::io::{Read, Write};
     use std::net::TcpStream;
 
-    use storypivot::serve::client::Client;
+    use storypivot::serve::client::{BackoffPolicy, Client};
     use storypivot::serve::proto::{frame, read_frame, Request, Response, MAX_FRAME_LEN};
     use storypivot::serve::server::{serve, ServerConfig, ServerHandle};
     use storypivot::types::{EntityId, Snippet, SnippetId, SourceId, SourceKind, Timestamp};
@@ -199,7 +199,8 @@ mod wire_faults {
         let snippet = Snippet::builder(SnippetId::new(0), SourceId::new(0), Timestamp::EPOCH)
             .entity(EntityId::new(1), 1.0)
             .build();
-        client.ingest_retry(&snippet, 100).unwrap();
+        let policy = BackoffPolicy { max_attempts: 101, ..BackoffPolicy::default() };
+        client.ingest_backoff(&snippet, policy).unwrap();
         assert_eq!(client.query_stories().unwrap().len(), 1);
         client.shutdown().unwrap();
         handle.join();
@@ -370,8 +371,9 @@ mod wire_faults {
 mod shard_supervision {
     use std::path::{Path, PathBuf};
 
-    use storypivot::serve::client::Client;
+    use storypivot::serve::client::{BackoffPolicy, Client};
     use storypivot::serve::server::{serve, ServerConfig, POISON_HEADLINE};
+    use storypivot::substrate::metrics::sample;
     use storypivot::substrate::wal::SyncPolicy;
     use storypivot::types::{EntityId, Snippet, SnippetId, SourceId, SourceKind, Timestamp};
 
@@ -401,6 +403,17 @@ mod shard_supervision {
             .build()
     }
 
+    /// Up to ten BUSY/SHED retries after the first attempt.
+    fn eleven_attempts() -> BackoffPolicy {
+        BackoffPolicy { max_attempts: 11, ..BackoffPolicy::default() }
+    }
+
+    /// One shard's serving series out of a METRICS exposition.
+    fn shard_value(text: &str, name: &str, shard: &str) -> f64 {
+        sample(text, name, &[("shard", shard)])
+            .unwrap_or_else(|| panic!("{name}{{shard=\"{shard}\"}} missing from:\n{text}"))
+    }
+
     #[test]
     fn poisoned_shard_restarts_quarantines_and_keeps_siblings_serving() {
         let wal = scratch("wal");
@@ -411,8 +424,8 @@ mod shard_supervision {
         // Source 0 → shard 0, source 1 → shard 1.
         client.add_source("victim", SourceKind::Wire, 0).unwrap();
         client.add_source("bystander", SourceKind::Wire, 0).unwrap();
-        client.ingest_retry(&snippet(0, 0, "fine"), 10).unwrap();
-        client.ingest_retry(&snippet(1, 1, "fine too"), 10).unwrap();
+        client.ingest_backoff(&snippet(0, 0, "fine"), eleven_attempts()).unwrap();
+        client.ingest_backoff(&snippet(1, 1, "fine too"), eleven_attempts()).unwrap();
 
         // Strike 1: the live apply panics. Strike 2: the op re-panics
         // out of the WAL during the rebuild replay. One submission is
@@ -423,28 +436,25 @@ mod shard_supervision {
         assert!(msg.contains("panicked"), "unexpected error: {msg}");
 
         // The poisoned shard restarted and keeps serving its queue...
-        client.ingest_retry(&snippet(3, 0, "still alive"), 10).unwrap();
+        client.ingest_backoff(&snippet(3, 0, "still alive"), eleven_attempts()).unwrap();
         // ...and the sibling shard never noticed.
-        client.ingest_retry(&snippet(4, 1, "unaffected"), 10).unwrap();
+        client.ingest_backoff(&snippet(4, 1, "unaffected"), eleven_attempts()).unwrap();
 
-        let stats = client.stats().unwrap();
-        assert_eq!(stats.shards.len(), 2);
-        assert!(
-            stats.shards[0].restarts >= 2,
-            "live panic + replay panic, got {}",
-            stats.shards[0].restarts
-        );
-        assert_eq!(stats.shards[0].quarantined, 1);
-        assert_eq!(stats.shards[1].restarts, 0);
-        assert_eq!(stats.shards[1].quarantined, 0);
+        let text = client.metrics().unwrap();
+        assert_eq!(sample(&text, "storypivot_shard_restarts", &[("shard", "2")]), None);
+        let restarts = shard_value(&text, "storypivot_shard_restarts", "0");
+        assert!(restarts >= 2.0, "live panic + replay panic, got {restarts}");
+        assert_eq!(shard_value(&text, "storypivot_shard_quarantined", "0"), 1.0);
+        assert_eq!(shard_value(&text, "storypivot_shard_restarts", "1"), 0.0);
+        assert_eq!(shard_value(&text, "storypivot_shard_quarantined", "1"), 0.0);
         assert!(wal.join("shard0.dead").exists(), "quarantine must be dead-lettered");
 
         // Resubmitting the identical op is rejected *before* the engine
         // (no new panic, no new restart).
         let err = client.ingest(&poison).expect_err("quarantined op must be rejected");
         assert!(err.to_string().contains("quarantined"), "got: {err}");
-        let stats2 = client.stats().unwrap();
-        assert_eq!(stats2.shards[0].restarts, stats.shards[0].restarts);
+        let text = client.metrics().unwrap();
+        assert_eq!(shard_value(&text, "storypivot_shard_restarts", "0"), restarts);
 
         // The partition holds exactly the four good snippets.
         let stories = client.query_stories().unwrap();
@@ -465,7 +475,7 @@ mod shard_supervision {
             let handle = serve("127.0.0.1:0", durable_config(&wal, &ckpt)).unwrap();
             let mut client = Client::connect(handle.addr()).unwrap();
             client.add_source("victim", SourceKind::Wire, 0).unwrap();
-            client.ingest_retry(&snippet(0, 0, "good"), 10).unwrap();
+            client.ingest_backoff(&snippet(0, 0, "good"), eleven_attempts()).unwrap();
             client.ingest(&snippet(1, 0, POISON_HEADLINE)).expect_err("poison");
             client.shutdown().unwrap();
             handle.join();
@@ -474,15 +484,19 @@ mod shard_supervision {
         // dead-letter file re-arms the quarantine before any replay.
         let handle = serve("127.0.0.1:0", durable_config(&wal, &ckpt)).unwrap();
         let mut client = Client::connect(handle.addr()).unwrap();
-        let stats = client.stats().unwrap();
-        assert_eq!(stats.shards[0].quarantined, 1);
-        assert_eq!(stats.shards[0].restarts, 0, "no replay panic: the op is skipped");
+        let text = client.metrics().unwrap();
+        assert_eq!(shard_value(&text, "storypivot_shard_quarantined", "0"), 1.0);
+        assert_eq!(
+            shard_value(&text, "storypivot_shard_restarts", "0"),
+            0.0,
+            "no replay panic: the op is skipped"
+        );
         let err = client.ingest(&snippet(1, 0, POISON_HEADLINE)).expect_err("still dead");
         assert!(err.to_string().contains("quarantined"), "got: {err}");
         // Recovered data intact, engine fully serviceable.
         let stories = client.query_stories().unwrap();
         assert_eq!(stories.iter().map(|s| s.members.len()).sum::<usize>(), 1);
-        client.ingest_retry(&snippet(2, 0, "fresh"), 10).unwrap();
+        client.ingest_backoff(&snippet(2, 0, "fresh"), eleven_attempts()).unwrap();
         client.shutdown().unwrap();
         handle.join();
         let _ = std::fs::remove_dir_all(&wal);

@@ -12,7 +12,8 @@ use storypivot::gen::{CorpusBuilder, GenConfig};
 use storypivot::serve::client::Client;
 use storypivot::serve::load::{replay, LoadOptions};
 use storypivot::serve::server::{serve, ServerConfig};
-use storypivot::serve::IngestReply;
+use storypivot::serve::{BackoffPolicy, IngestReply};
+use storypivot::substrate::metrics::sample;
 use storypivot::types::{EntityId, Snippet, SnippetId, SourceKind, TermId, Timestamp};
 
 /// The story partition as (story id, sorted member ids), sorted by id —
@@ -92,9 +93,13 @@ fn served_partition_matches_in_process_and_checkpoint_restores() {
     let served = partition_of_summaries(&client.query_stories().unwrap());
     assert_eq!(served, partition_of_engine(twin.pivot()), "served partition must match in-process");
 
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.total_ingested() as usize, corpus.len());
-    assert_eq!(stats.shards.len(), 1);
+    let text = client.metrics().unwrap();
+    assert_eq!(sample(&text, "storypivot_ingest_total", &[]), Some(corpus.len() as f64));
+    // Exactly one shard: its labelled series exist, a second's do not.
+    let capacity =
+        |shard: &str| sample(&text, "storypivot_shard_queue_capacity", &[("shard", shard)]);
+    assert!(capacity("0").is_some());
+    assert_eq!(capacity("1"), None);
 
     // Graceful shutdown: the ack means drained + checkpointed (a
     // generation-numbered file written atomically via temp + rename).
@@ -222,7 +227,9 @@ fn tiny_queue_pushes_back_with_busy_and_recovers() {
                         busy += 1;
                         assert!(retry_after_ms > 0, "BUSY must carry a retry hint");
                         std::thread::sleep(std::time::Duration::from_millis(retry_after_ms as u64));
-                        client.ingest_retry(&snippet, 1_000).unwrap();
+                        let policy =
+                            BackoffPolicy { max_attempts: 1_001, ..BackoffPolicy::default() };
+                        client.ingest_backoff(&snippet, policy).unwrap();
                     }
                 }
             }
@@ -244,21 +251,17 @@ fn tiny_queue_pushes_back_with_busy_and_recovers() {
 
     // Every snippet eventually landed, and the server counted the
     // rejections it issued.
-    let stats = setup.stats().unwrap();
-    assert_eq!(stats.total_ingested(), (producers * per_producer) as u64);
-    assert!(stats.total_busy() >= busy_total);
+    let text = setup.metrics().unwrap();
+    assert_eq!(
+        sample(&text, "storypivot_ingest_total", &[]),
+        Some((producers * per_producer) as f64)
+    );
+    // One shard, so its BUSY gauge is the server-wide total.
+    let busy_rejections = sample(&text, "storypivot_shard_busy_rejections", &[("shard", "0")]);
+    assert!(busy_rejections.unwrap() >= busy_total as f64);
 
     setup.shutdown().unwrap();
     handle.join();
-}
-
-/// Pull `name value` (no labels) out of a Prometheus-style exposition.
-fn exposition_value(text: &str, name: &str) -> Option<u64> {
-    text.lines().find_map(|line| {
-        let rest = line.strip_prefix(name)?;
-        let rest = rest.strip_prefix(' ')?;
-        rest.trim().parse().ok()
-    })
 }
 
 #[test]
@@ -299,23 +302,23 @@ fn metrics_exposition_matches_in_process_engine() {
     let text = client.metrics().unwrap();
 
     // Counter values in the exposition must equal engine-side truth.
-    assert_eq!(exposition_value(&text, "storypivot_ingest_total"), Some(corpus.len() as u64));
+    assert_eq!(sample(&text, "storypivot_ingest_total", &[]), Some(corpus.len() as f64));
     assert_eq!(
-        exposition_value(&text, "storypivot_identify_assigned_total"),
-        Some(twin_metrics.identify_assigned_total.get()),
+        sample(&text, "storypivot_identify_assigned_total", &[]),
+        Some(twin_metrics.identify_assigned_total.get() as f64),
     );
     assert_eq!(
-        exposition_value(&text, "storypivot_identify_new_story_total"),
-        Some(twin_metrics.identify_new_story_total.get()),
+        sample(&text, "storypivot_identify_new_story_total", &[]),
+        Some(twin_metrics.identify_new_story_total.get() as f64),
     );
     assert_eq!(
-        exposition_value(&text, "storypivot_identify_compared_total"),
-        Some(twin_metrics.identify_compared_total.get()),
+        sample(&text, "storypivot_identify_compared_total", &[]),
+        Some(twin_metrics.identify_compared_total.get() as f64),
     );
     // The per-stage duration histogram saw one observation per snippet.
     assert_eq!(
-        exposition_value(&text, "storypivot_identify_duration_ns_count"),
-        Some(corpus.len() as u64),
+        sample(&text, "storypivot_identify_duration_ns_count", &[]),
+        Some(corpus.len() as f64),
     );
     // Exposition structure: HELP/TYPE headers and the shard-labeled
     // serving series are present.
@@ -343,10 +346,10 @@ fn metrics_merge_across_shards_sums_counters() {
     let text = client.metrics().unwrap();
     // Engine counters are shard-invariant: the merged total equals the
     // full corpus no matter how sources were partitioned.
-    assert_eq!(exposition_value(&text, "storypivot_ingest_total"), Some(corpus.len() as u64));
+    assert_eq!(sample(&text, "storypivot_ingest_total", &[]), Some(corpus.len() as f64));
     assert_eq!(
-        exposition_value(&text, "storypivot_identify_duration_ns_count"),
-        Some(corpus.len() as u64),
+        sample(&text, "storypivot_identify_duration_ns_count", &[]),
+        Some(corpus.len() as f64),
     );
     // Every shard's labeled serving series survives the merge.
     for shard in 0..shards {
@@ -439,11 +442,16 @@ fn query_storm_bypasses_the_shard_write_queue() {
         "query storm took {elapsed:?} — reads are riding the write queue again"
     );
 
-    // The worker counted every snapshot-served read, and its queue was
-    // empty when it measured itself (the stats job is the only rider).
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.shards[0].queries, storm);
-    assert_eq!(stats.shards[0].queue_depth, 0, "reads must not occupy the write queue");
+    // Every snapshot-served read was counted, and the queue was empty
+    // when the shard measured itself (the metrics job is the only rider).
+    let text = client.metrics().unwrap();
+    let shard0 = &[("shard", "0")];
+    assert_eq!(sample(&text, "storypivot_shard_queries_total", shard0), Some(storm as f64));
+    assert_eq!(
+        sample(&text, "storypivot_shard_queue_depth", shard0),
+        Some(0.0),
+        "reads must not occupy the write queue"
+    );
 
     client.shutdown().unwrap();
     handle.join();
@@ -495,12 +503,12 @@ fn pipelined_requests_return_in_order_past_the_pipeline_cap() {
     // pair a query with an ingest slot).
     let mixed = vec![
         storypivot::serve::Request::QueryStories,
-        storypivot::serve::Request::Stats,
+        storypivot::serve::Request::Metrics,
         storypivot::serve::Request::QueryStories,
     ];
     let replies = client.pipelined(&mixed).unwrap();
     assert!(matches!(replies[0], storypivot::serve::Response::Stories(_)));
-    assert!(matches!(replies[1], storypivot::serve::Response::Stats(_)));
+    assert!(matches!(replies[1], storypivot::serve::Response::Metrics { .. }));
     assert!(matches!(replies[2], storypivot::serve::Response::Stories(_)));
     match &replies[0] {
         storypivot::serve::Response::Stories(stories) => {
