@@ -148,6 +148,33 @@ wait "$PIVOTD_PID"
 PIVOTD_PID=""
 cmp "$CRASH_DIR/before.txt" "$CRASH_DIR/after.txt"
 
+echo "==> smoke: crash recovery at --align-every 64 (cadence through live apply and WAL replay)"
+CRASH64_DIR="$SMOKE_DIR/crash64"
+mkdir -p "$CRASH64_DIR"
+cargo run -p storypivot-serve --bin pivotd --release -- \
+    --addr 127.0.0.1:0 --shards 2 --align-every 64 --fsync always \
+    --wal-dir "$CRASH64_DIR/wal" --checkpoint-dir "$CRASH64_DIR/ckpt" \
+    --port-file "$CRASH64_DIR/port" &
+PIVOTD_PID=$!
+PORT="$(wait_port "$CRASH64_DIR/port" "$PIVOTD_PID")"
+cargo run -p storypivot-serve --bin loadgen --release -- \
+    --addr "127.0.0.1:$PORT" --quick --partition-file "$CRASH64_DIR/before.txt"
+test -s "$CRASH64_DIR/before.txt"
+kill -9 "$PIVOTD_PID"
+wait "$PIVOTD_PID" || true
+rm -f "$CRASH64_DIR/port"
+cargo run -p storypivot-serve --bin pivotd --release -- \
+    --addr 127.0.0.1:0 --shards 2 --align-every 64 --fsync always \
+    --wal-dir "$CRASH64_DIR/wal" --checkpoint-dir "$CRASH64_DIR/ckpt" \
+    --port-file "$CRASH64_DIR/port" &
+PIVOTD_PID=$!
+PORT="$(wait_port "$CRASH64_DIR/port" "$PIVOTD_PID")"
+cargo run -p storypivot-serve --bin loadgen --release -- \
+    --addr "127.0.0.1:$PORT" --query-only --partition-file "$CRASH64_DIR/after.txt" --shutdown
+wait "$PIVOTD_PID"
+PIVOTD_PID=""
+cmp "$CRASH64_DIR/before.txt" "$CRASH64_DIR/after.txt"
+
 echo "==> smoke: replication (leader + follower, bounded lag, NOT_LEADER wall)"
 REPL_DIR="$SMOKE_DIR/repl"
 mkdir -p "$REPL_DIR"

@@ -32,8 +32,8 @@ use storypivot_substrate::rng::{RngExt, StdRng};
 use storypivot_substrate::wal::{self, SyncPolicy, Wal};
 use storypivot_core::config::PivotConfig;
 use storypivot_core::metrics::EngineMetrics;
-use storypivot_core::oplog::{replay_op, ReplayOp};
-use storypivot_core::pipeline::{DynamicPivot, PipelinePolicy};
+use storypivot_core::oplog::ReplayOp;
+use storypivot_core::pivot::StoryPivot;
 use storypivot_eval::run::{alignment_scores, identification_scores, run, RunOptions};
 use storypivot_eval::Table;
 use storypivot_gen::{CorpusBuilder, GenConfig};
@@ -615,18 +615,13 @@ fn e12_wal(scale: &Scale, seed: u64) -> Table {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("create WAL scratch dir");
     let mut table = Table::new(["mode", "fsync", "events", "ms/event", "wal KiB", "recover ms"]);
-    // Flush-only pipeline: isolates journaling cost from alignment.
-    let fresh = || {
-        DynamicPivot::new(
-            PivotConfig::default(),
-            PipelinePolicy { align_every: 0, ..PipelinePolicy::default() },
-        )
-    };
+    // No alignment: isolates journaling cost from alignment.
+    let fresh = || StoryPivot::new(PivotConfig::default());
 
     // Baseline: the same ingest stream with no journal at all.
     let mut engine = fresh();
     for s in &corpus.sources {
-        engine.pivot_mut().add_source_registered(s.clone()).unwrap();
+        engine.add_source_registered(s.clone()).unwrap();
     }
     let t = Instant::now();
     for s in &corpus.snippets {
@@ -650,7 +645,7 @@ fn e12_wal(scale: &Scale, seed: u64) -> Table {
         let mut engine = fresh();
         for s in &corpus.sources {
             journal.append(&ReplayOp::AddSource(s.clone()).to_bytes()).unwrap();
-            engine.pivot_mut().add_source_registered(s.clone()).unwrap();
+            engine.add_source_registered(s.clone()).unwrap();
         }
         let t = Instant::now();
         for s in &corpus.snippets {
@@ -690,11 +685,11 @@ fn e12_wal(scale: &Scale, seed: u64) -> Table {
         let mut engine = fresh();
         for record in &scan.records {
             let op = ReplayOp::decode(record).expect("decode journaled op");
-            replay_op(&mut engine, &op).expect("replay journaled op");
+            op.apply(&mut engine).expect("replay journaled op");
         }
         let recover_nanos = t.elapsed().as_nanos() as f64;
         assert!(!scan.damaged(), "bench journal must scan clean");
-        assert_eq!(engine.pivot().store().len(), n, "replay must restore every snippet");
+        assert_eq!(engine.store().len(), n, "replay must restore every snippet");
         table.row([
             "recover (scan+replay)".into(),
             "-".into(),

@@ -1,5 +1,5 @@
-//! StoryPivot core: story identification, story alignment, story
-//! refinement, and the dynamic pipeline tying them together.
+//! StoryPivot core: story identification, story alignment and story
+//! refinement over one incremental engine.
 //!
 //! The paper (SIGMOD'15) decomposes story detection into two phases:
 //!
@@ -17,11 +17,14 @@
 //!    ([`refine`]): alignment evidence corrects identification mistakes
 //!    (Figure 1d).
 //!
-//! [`pivot::StoryPivot`] is the user-facing engine combining the store,
-//! per-source identifiers, the aligner, and the refiner;
-//! [`pipeline::DynamicPivot`] adds the online policy of §2.4 (ingest
-//! continuously, re-align dirty stories incrementally, tolerate
-//! out-of-order arrival, add/remove sources and documents).
+//! [`pivot::StoryPivot`] is the one engine: it combines the store,
+//! per-source identifiers, the aligner, and the refiner, and it covers
+//! the online setting of §2.4 itself. It ingests continuously and out
+//! of order, re-aligns only dirty stories
+//! ([`StoryPivot::align_incremental`]), and adds or removes sources and
+//! documents. The caller picks the alignment cadence. A journaled
+//! [`oplog::ReplayOp`] reaches the engine through one entry point,
+//! [`oplog::ReplayOp::apply`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +37,6 @@ pub mod hotcache;
 pub mod identify;
 pub mod metrics;
 pub mod oplog;
-pub mod pipeline;
 pub mod pivot;
 pub mod query;
 pub mod refine;
@@ -47,8 +49,7 @@ pub use config::{AlignConfig, IdentifyConfig, MatchMode, PivotConfig, SketchConf
 pub use explain::{explain_assignment, explain_counterparts, Explanation};
 pub use identify::{Identifier, IdentifyDecision};
 pub use metrics::EngineMetrics;
-pub use oplog::{replay_op, ReplayOp};
-pub use pipeline::DynamicPivot;
+pub use oplog::ReplayOp;
 pub use pivot::StoryPivot;
 pub use query::{query_stories, QueryHit, StoryQuery};
 pub use refine::RefineReport;

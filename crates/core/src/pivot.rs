@@ -902,4 +902,67 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counter_value("storypivot_ingest_total", &[]), Some(8));
     }
+
+    #[test]
+    fn out_of_order_stream_converges_to_batch_result() {
+        // Ingest the same logical stream in order and shuffled, aligning
+        // incrementally every 3 snippets; after a final align + refine
+        // both must produce the same snippet partition.
+        let run = |order: &[usize]| {
+            let mut pivot = StoryPivot::new(PivotConfig::default());
+            let a = pivot.add_source("a", SourceKind::Newspaper);
+            let b = pivot.add_source("b", SourceKind::Newspaper);
+            // 2 stories × 2 sources × 5 days.
+            let mut stream = Vec::new();
+            for day in 0..5i64 {
+                for (src, e) in [(a, 1u32), (a, 50), (b, 1), (b, 50)] {
+                    stream.push((src, day, e));
+                }
+            }
+            for (n, &i) in order.iter().enumerate() {
+                let (src, day, e) = stream[i];
+                let id = pivot.fresh_snippet_id();
+                let s = Snippet::builder(id, src, Timestamp::from_secs(day * DAY))
+                    .entity(EntityId::new(e), 1.0)
+                    .entity(EntityId::new(e + 1), 1.0)
+                    .term(TermId::new(e), 1.0)
+                    .build();
+                pivot.ingest(s).unwrap();
+                if (n + 1) % 3 == 0 {
+                    pivot.align_incremental();
+                }
+            }
+            pivot.align_incremental();
+            pivot.refine();
+            // Partition as sets of (source, day, entity) member keys,
+            // ignoring snippet ids (which differ between orders).
+            let mut partition: Vec<Vec<(u32, i64, u32)>> = pivot
+                .global_stories()
+                .iter()
+                .map(|g| {
+                    let mut v: Vec<(u32, i64, u32)> = g
+                        .members
+                        .iter()
+                        .map(|&(m, _)| {
+                            let sn = pivot.store().get(m).unwrap();
+                            let e = sn.entities().keys().next().unwrap().raw();
+                            (sn.source.raw(), sn.timestamp.secs(), e)
+                        })
+                        .collect();
+                    v.sort_unstable();
+                    v
+                })
+                .collect();
+            partition.sort();
+            partition
+        };
+
+        let in_order: Vec<usize> = (0..20).collect();
+        // A fixed "late local coverage" shuffle: reverse within days.
+        let shuffled: Vec<usize> = in_order
+            .chunks(4)
+            .flat_map(|c| c.iter().rev().copied())
+            .collect();
+        assert_eq!(run(&in_order), run(&shuffled));
+    }
 }

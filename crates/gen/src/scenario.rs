@@ -37,7 +37,7 @@ use std::collections::HashMap;
 use storypivot_types::{DocId, Snippet, SnippetId, Source, SourceId};
 
 use crate::config::GenConfig;
-use crate::corpus::CorpusBuilder;
+use crate::corpus::{Corpus, CorpusBuilder};
 use crate::truth::GroundTruth;
 
 /// One phase of a [`Scenario`]: how a contiguous share of the corpus
@@ -143,6 +143,23 @@ pub struct Script {
 }
 
 impl Script {
+    /// The plain corpus stream as a one-segment script: the corpus's
+    /// sources registered up front, then every snippet in delivery
+    /// order at `rate` events/second (0 = unpaced).
+    pub fn from_corpus(corpus: &Corpus, rate: u64) -> Script {
+        Script {
+            name: "corpus",
+            sources: corpus.sources.clone(),
+            segments: vec![Segment {
+                name: "corpus",
+                rate,
+                gap_ms: 0,
+                ops: corpus.snippets.iter().cloned().map(ScenarioOp::Ingest).collect(),
+            }],
+            truth: corpus.truth.clone(),
+        }
+    }
+
     /// Total snippets the script ingests (duplicates included).
     pub fn events(&self) -> usize {
         self.segments

@@ -3,11 +3,13 @@
 //!
 //! Snippets are partitioned across M connections *by source* (source id
 //! mod M), so each source's stream stays on one connection and arrives
-//! at its shard in delivery order — the same ordering guarantee the
-//! in-process pipeline has. Each connection paces itself toward the
+//! at its shard in delivery order — the same ordering guarantee an
+//! in-process engine has. Each connection paces itself toward the
 //! target aggregate rate and absorbs BUSY replies with the client's
 //! jittered exponential backoff (seeded per snippet, honoring the
-//! server's retry-after hint).
+//! server's retry-after hint). A plain corpus replay is a one-segment
+//! chaos script, so both modes share one replay loop and retry typed
+//! rejections the same way.
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -54,11 +56,10 @@ pub struct LoadReport {
     /// past their deadline budget. Counted apart from BUSY because they
     /// cost the server queue residency, not just an admission check.
     pub shed_retries: u64,
-    /// Typed rejections absorbed during a scenario replay (e.g. an
-    /// injected journal fault failing the append). The server applies
-    /// nothing on a rejection — append-before-apply — so the replay
-    /// retries the snippet; always zero for [`replay`], which treats
-    /// any rejection as fatal.
+    /// Typed rejections absorbed (e.g. an injected journal fault
+    /// failing the append). The server applies nothing on a rejection —
+    /// append-before-apply — so the replay retries the snippet, up to
+    /// 50 times per snippet.
     pub rejected_retries: u64,
     /// Wall-clock time of the replay.
     pub wall: Duration,
@@ -137,102 +138,14 @@ impl LoadReport {
 }
 
 /// Register the corpus's sources (connection 0) and replay its snippet
-/// stream over `connections` paced connections.
+/// stream over `connections` lanes paced toward `opts.rate`: a
+/// [`replay_script`] of [`Script::from_corpus`].
 ///
 /// The server allocates source ids sequentially from zero against a
 /// fresh engine, which matches the corpus's own numbering; a mismatch
 /// (server not fresh) is an error.
 pub fn replay<A: ToSocketAddrs>(addr: A, corpus: &Corpus, opts: &LoadOptions) -> Result<LoadReport> {
-    if opts.connections == 0 {
-        return Err(Error::InvalidConfig("loadgen: connections must be >= 1".into()));
-    }
-    let addr: SocketAddr = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| Error::InvalidConfig("loadgen: address resolved to nothing".into()))?;
-
-    let mut setup = Client::connect(addr)?;
-    for source in &corpus.sources {
-        let got = setup.add_source(&source.name, source.kind, source.typical_lag)?;
-        if got != source.id {
-            return Err(Error::InvalidConfig(format!(
-                "server allocated source id {got} where the corpus expects {} — \
-                 is the server fresh?",
-                source.id
-            )));
-        }
-    }
-
-    // Partition by source, preserving delivery order within each lane.
-    let lanes = opts.connections;
-    let mut per_lane: Vec<Vec<Snippet>> = vec![Vec::new(); lanes];
-    for s in &corpus.snippets {
-        per_lane[s.source.raw() as usize % lanes].push(s.clone());
-    }
-    let per_lane_rate = opts.rate as f64 / lanes as f64;
-
-    let start = Instant::now();
-    let mut handles = Vec::with_capacity(lanes);
-    // BUSY handling: jittered exponential backoff honoring the
-    // server's retry-after hint, with a typed error on exhaustion.
-    let backoff = BackoffPolicy {
-        max_attempts: opts.max_retries.saturating_add(1),
-        ..BackoffPolicy::default()
-    };
-    for lane in per_lane {
-        handles.push(std::thread::spawn(move || -> Result<(u64, RetryStats, Histogram)> {
-            let mut client = Client::connect(addr)?;
-            let mut hist = Histogram::new();
-            let mut events = 0u64;
-            let mut retries = RetryStats::default();
-            let lane_start = Instant::now();
-            for (i, snippet) in lane.iter().enumerate() {
-                if per_lane_rate > 0.0 {
-                    // Pace against the schedule, not the previous send:
-                    // event i is due at i / rate seconds.
-                    let due = Duration::from_secs_f64(i as f64 / per_lane_rate);
-                    let elapsed = lane_start.elapsed();
-                    if due > elapsed {
-                        std::thread::sleep(due - elapsed);
-                    }
-                }
-                let t = Instant::now();
-                let (_, r) = client.ingest_backoff(snippet, backoff)?;
-                retries.busy += r.busy;
-                retries.shed += r.shed;
-                hist.record(t.elapsed().as_nanos() as u64);
-                events += 1;
-            }
-            Ok((events, retries, hist))
-        }));
-    }
-
-    let mut report = LoadReport {
-        events: 0,
-        busy_retries: 0,
-        shed_retries: 0,
-        rejected_retries: 0,
-        wall: Duration::ZERO,
-        latency: Histogram::new(),
-    };
-    let mut failure = None;
-    for handle in handles {
-        match handle.join() {
-            Ok(Ok((events, retries, hist))) => {
-                report.events += events;
-                report.busy_retries += retries.busy as u64;
-                report.shed_retries += retries.shed as u64;
-                report.latency.merge(&hist);
-            }
-            Ok(Err(e)) => failure = Some(e),
-            Err(_) => failure = Some(Error::Io("loadgen connection thread panicked".into())),
-        }
-    }
-    report.wall = start.elapsed();
-    match failure {
-        Some(e) => Err(e),
-        None => Ok(report),
-    }
+    replay_script(addr, &Script::from_corpus(corpus, opts.rate), opts)
 }
 
 // ---- chaos scenario replay -------------------------------------------

@@ -2,7 +2,7 @@
 //!
 //! Topology: one acceptor thread, a fixed pool of connection-
 //! multiplexing *I/O worker* threads, and N *shard* worker threads.
-//! Each shard owns a full [`DynamicPivot`] engine holding a disjoint
+//! Each shard owns a full [`StoryPivot`] engine holding a disjoint
 //! subset of sources (`source id mod N`), so identification — which is
 //! per-source by construction (paper §2.1) — is embarrassingly
 //! parallel across shards, and alignment runs per shard over its own
@@ -46,6 +46,10 @@
 //! (`shard{i}.g{N}.spvc`, written atomically via temp file + rename)
 //! and replays the WAL tail on top; replay is idempotent, so the crash
 //! window between "checkpoint written" and "WAL truncated" is safe.
+//! Live writes, this replay and a follower's replicated records all
+//! reach the engine through one shard-worker apply path: the debug
+//! poison hook, [`ReplayOp::apply`], and an incremental alignment
+//! after every `align_every` successful ingests.
 //! Once the WAL grows past `checkpoint_every_bytes` the shard writes a
 //! fresh generation and truncates the log, bounding recovery time.
 //!
@@ -61,8 +65,8 @@
 //! (`storypivot_shard_restarts`, `storypivot_shard_quarantined`).
 //!
 //! SHUTDOWN drains: a dedicated orchestrator thread pushes a `Drain`
-//! job behind all accepted work on every shard, each shard flushes its
-//! engine (final alignment + refinement) and writes a checkpoint
+//! job behind all accepted work on every shard, each shard runs a final
+//! alignment + refinement on its engine and writes a checkpoint
 //! generation, the queues are closed, and only then is the ack sent
 //! (to the initiator and to every connection that sent a concurrent
 //! SHUTDOWN).
@@ -100,8 +104,8 @@ use std::time::{Duration, Instant};
 use storypivot_core::checkpoint;
 use storypivot_core::config::PivotConfig;
 use storypivot_core::metrics::EngineMetrics;
-use storypivot_core::oplog::{replay_op, ReplayOp};
-use storypivot_core::pipeline::{DynamicPivot, PipelinePolicy};
+use storypivot_core::oplog::{self, Applied, ReplayOp};
+use storypivot_core::pivot::StoryPivot;
 use storypivot_core::refine::story_source;
 use storypivot_substrate::fault::FaultHook;
 use storypivot_substrate::metrics::{Counter, Gauge, HistogramMetric, Registry, Snapshot};
@@ -110,7 +114,7 @@ use storypivot_substrate::pool::{BufferPool, PooledBuf};
 use storypivot_substrate::queue::{Bounded, PushError};
 use storypivot_substrate::trace::TraceRing;
 use storypivot_substrate::wal::{self, SyncPolicy, Wal, WalMetrics};
-use storypivot_types::{DocId, Error, Result, Snippet, Source, SourceId, StoryId};
+use storypivot_types::{DocId, Error, Result, Snippet, Source, SourceId};
 
 use crate::proto::{frame_into, frame_ready, Request, RequestRef, Response, StorySummary};
 use crate::replica;
@@ -143,8 +147,9 @@ pub struct ServerConfig {
     pub queue_depth: usize,
     /// Engine configuration applied to every shard.
     pub pivot: PivotConfig,
-    /// Per-shard incremental re-alignment period (snippets); see
-    /// [`PipelinePolicy::align_every`].
+    /// Per-shard incremental re-alignment period: every shard runs
+    /// [`StoryPivot::align_incremental`] after this many successful
+    /// ingests (0 = only when draining).
     pub align_every: usize,
     /// Where checkpoint generations are written
     /// (`shard{i}.g{N}.spvc`, atomic temp-file + rename); `None`
@@ -741,7 +746,7 @@ pub fn serve<A: ToSocketAddrs>(addr: A, cfg: ServerConfig) -> Result<ServerHandl
     // WALs brought back.
     let next_source = shard_workers
         .iter()
-        .flat_map(|w| w.engine.pivot().sources().into_iter().map(|s| s.id.raw()))
+        .flat_map(|w| w.engine.sources().into_iter().map(|s| s.id.raw()))
         .max()
         .map_or(0, |m| m + 1);
 
@@ -1712,17 +1717,10 @@ impl IoWorker {
 }
 // ---- shard worker ----------------------------------------------------
 
-/// What a successfully applied mutation produced.
-enum Applied {
-    Source(SourceId),
-    Story(StoryId),
-    Removed(u32),
-}
-
-/// The debug-only failure-injection hook: runs in both the live apply
-/// path and the rebuild replay path, so an injected panic is
-/// deterministic across restarts (which is what earns it a second
-/// strike and the quarantine).
+/// The debug-only failure-injection hook: runs in the shard's one apply
+/// path, so live writes, rebuild replay and replication all hit it and
+/// an injected panic is deterministic across restarts (which is what
+/// earns it a second strike and the quarantine).
 fn poison_check(op: &ReplayOp) {
     if cfg!(debug_assertions) {
         if let ReplayOp::Ingest(snippet) = op {
@@ -1739,26 +1737,6 @@ fn op_label(op: &ReplayOp) -> &'static str {
         ReplayOp::AddSource(_) => "add_source",
         ReplayOp::Ingest(_) => "ingest",
         ReplayOp::RemoveDoc(_) => "remove_doc",
-    }
-}
-
-/// Apply one mutation to a live engine. Shared by the serving path and
-/// (via [`replay_op`]'s equivalent semantics) mirrored by recovery.
-fn apply_live(engine: &mut DynamicPivot, op: &ReplayOp) -> Result<Applied> {
-    poison_check(op);
-    match op {
-        ReplayOp::AddSource(source) => engine
-            .pivot_mut()
-            .add_source_registered(source.clone())
-            .map(Applied::Source),
-        ReplayOp::Ingest(snippet) => engine.ingest(snippet.clone()).map(Applied::Story),
-        ReplayOp::RemoveDoc(doc) => match engine.pivot_mut().remove_document(*doc) {
-            Ok(n) => Ok(Applied::Removed(n as u32)),
-            // Sharding splits documents across engines: "unknown here"
-            // just means zero local snippets; the router sums.
-            Err(Error::UnknownDocument(_)) => Ok(Applied::Removed(0)),
-            Err(e) => Err(e),
-        },
     }
 }
 
@@ -1872,10 +1850,15 @@ impl ShardServeMetrics {
 
 struct ShardWorker {
     idx: usize,
-    engine: DynamicPivot,
-    /// Engine config + pipeline policy, kept for rebuilds.
+    engine: StoryPivot,
+    /// Engine config, kept for rebuilds.
     pivot_cfg: PivotConfig,
-    policy: PipelinePolicy,
+    /// Run an incremental alignment after this many successful ingests
+    /// (0 = only when draining).
+    align_every: usize,
+    /// Successful ingests since the last alignment; restarts at zero
+    /// whenever the engine is rebuilt, bootstrapped or drained.
+    since_align: usize,
     /// EWMA of single-snippet ingest service time in nanoseconds,
     /// shared with the I/O workers so BUSY/SHED retry hints scale with
     /// how long the queued work will actually take to drain.
@@ -1939,10 +1922,6 @@ impl ShardWorker {
         slot: SnapshotSlot,
         service_ewma: Arc<AtomicU64>,
     ) -> Result<ShardWorker> {
-        let policy = PipelinePolicy {
-            align_every: cfg.align_every,
-            ..PipelinePolicy::default()
-        };
         let state_dir = cfg.wal_dir.as_ref().or(cfg.checkpoint_dir.as_ref());
         let dead_path = state_dir.map(|d| d.join(format!("shard{idx}.dead")));
         let trace_path = state_dir.map(|d| d.join(format!("shard{idx}.trace")));
@@ -1951,11 +1930,7 @@ impl ShardWorker {
         if let Some(path) = &dead_path {
             match wal::scan(path) {
                 Ok(scan) => {
-                    for payload in &scan.records {
-                        if let Ok(op) = ReplayOp::decode(payload) {
-                            quarantine.insert(op.fingerprint());
-                        }
-                    }
+                    quarantine.extend(scan.records.iter().map(|p| oplog::fingerprint(p)));
                 }
                 Err(e) => eprintln!(
                     "pivotd: shard {idx}: dead-letter file {} unreadable: {e}",
@@ -1972,9 +1947,10 @@ impl ShardWorker {
 
         let mut worker = ShardWorker {
             idx,
-            engine: DynamicPivot::new(cfg.pivot.clone(), policy),
+            engine: StoryPivot::new(cfg.pivot.clone()),
             pivot_cfg: cfg.pivot.clone(),
-            policy,
+            align_every: cfg.align_every,
+            since_align: 0,
             service_ewma,
             deadline: Duration::from_millis(cfg.deadline_ms),
             retry_floor_ms: cfg.retry_after_ms,
@@ -2105,12 +2081,12 @@ impl ShardWorker {
         }
     }
 
-    /// Journal, then apply under `catch_unwind`. A panic rebuilds the
-    /// engine from durable state and replies with an error instead of
-    /// killing the worker; the op's strike count decides quarantine.
+    /// Journal, then apply. The encoded op is both the WAL payload and
+    /// the input of its quarantine fingerprint.
     fn mutate(&mut self, op: ReplayOp) -> Result<Applied> {
-        let fp = op.fingerprint();
-        self.trace.push(op_label(&op), format!("fp={fp:#018x}"));
+        let bytes = op.to_bytes();
+        let fp = oplog::fingerprint(&bytes);
+        self.trace.push(op_label(&op), fp);
         if self.quarantine.contains(&fp) {
             return Err(Error::Invariant(format!(
                 "operation {fp:#018x} is quarantined on shard {} \
@@ -2119,19 +2095,42 @@ impl ShardWorker {
             )));
         }
         if let Some(w) = &mut self.wal {
-            w.append(&op.to_bytes())
+            w.append(&bytes)
                 .map_err(|e| Error::Io(format!("shard {} wal append: {e}", self.idx)))?;
         }
-        let engine = &mut self.engine;
-        match catch_unwind(AssertUnwindSafe(|| apply_live(engine, &op))) {
-            Ok(result) => {
-                if result.is_ok() {
-                    self.ops_since_checkpoint += 1;
-                    self.maybe_checkpoint();
-                    self.note_applied();
-                }
-                result
+        let result = self.apply_supervised(&op, fp);
+        if result.is_ok() {
+            self.ops_since_checkpoint += 1;
+            self.maybe_checkpoint();
+            self.note_applied();
+        }
+        result
+    }
+
+    /// The one engine apply path. Live writes, WAL rebuild and
+    /// replicated records all come through here: the debug poison
+    /// hook, then [`ReplayOp::apply`], then the `align_every` cadence,
+    /// which counts successful ingests and runs an incremental
+    /// alignment on every `align_every`-th.
+    fn apply(&mut self, op: &ReplayOp) -> Result<Applied> {
+        poison_check(op);
+        let applied = op.apply(&mut self.engine)?;
+        if let Applied::Story(_) = applied {
+            self.since_align += 1;
+            if self.align_every > 0 && self.since_align >= self.align_every {
+                self.engine.align_incremental();
+                self.since_align = 0;
             }
+        }
+        Ok(applied)
+    }
+
+    /// [`ShardWorker::apply`] under `catch_unwind`. A panic rebuilds the
+    /// engine from durable state and becomes an error instead of
+    /// killing the worker; the op's strike count decides quarantine.
+    fn apply_supervised(&mut self, op: &ReplayOp, fp: u64) -> Result<Applied> {
+        match catch_unwind(AssertUnwindSafe(|| self.apply(op))) {
+            Ok(result) => result,
             Err(_) => {
                 self.serve_metrics.restarts.add(1);
                 *self.strikes.entry(fp).or_insert(0) += 1;
@@ -2158,9 +2157,8 @@ impl ShardWorker {
     /// rebuild.
     fn dump_trace(&mut self, fp: u64) {
         let dump = format!(
-            "pivotd: shard {}: panic applying op {fp:#018x}; last {} events:\n{}",
+            "pivotd: shard {}: panic applying op {fp:#018x}; recent events:\n{}",
             self.idx,
-            self.trace.len(),
             self.trace.render()
         );
         eprintln!("{dump}");
@@ -2179,7 +2177,7 @@ impl ShardWorker {
     /// snapshot the shard's registry.
     fn metrics_snapshot(&self) -> Snapshot {
         let m = &self.serve_metrics;
-        let pivot = self.engine.pivot();
+        let pivot = &self.engine;
         m.queue_depth.set(self.queue.len() as i64);
         m.sources.set(pivot.sources().len() as i64);
         m.stories.set(pivot.story_count() as i64);
@@ -2223,14 +2221,16 @@ impl ShardWorker {
     }
 
     /// Reconstruct the engine from the newest valid checkpoint plus the
-    /// WAL tail. An op that panics during replay earns a strike; at two
-    /// strikes it is dead-lettered, and the replay restarts without it.
-    /// Terminates: every restart either quarantines an op or arms its
-    /// second strike.
+    /// WAL tail, replaying straight into `self.engine`. An op that
+    /// panics during replay earns a strike; at two strikes it is
+    /// dead-lettered, and the replay restarts from the checkpoint
+    /// without it. Terminates: every restart either quarantines an op
+    /// or arms its second strike.
     fn rebuild(&mut self) {
-        self.trace.push("rebuild", String::new());
-        loop {
-            let mut engine = self.engine_from_checkpoint();
+        self.trace.push("rebuild", 0);
+        'replay: loop {
+            self.engine = self.engine_from_checkpoint();
+            self.since_align = 0;
             let records = match &self.wal_path {
                 Some(path) => match wal::scan(path) {
                     Ok(scan) => scan.records,
@@ -2244,8 +2244,11 @@ impl ShardWorker {
                 },
                 None => Vec::new(),
             };
-            let mut repanicked = false;
             for payload in &records {
+                let fp = oplog::fingerprint(payload);
+                if self.quarantine.contains(&fp) {
+                    continue;
+                }
                 let op = match ReplayOp::decode(payload) {
                     Ok(op) => op,
                     Err(e) => {
@@ -2253,12 +2256,10 @@ impl ShardWorker {
                         continue;
                     }
                 };
-                let fp = op.fingerprint();
-                if self.quarantine.contains(&fp) {
-                    continue;
-                }
-                match catch_unwind(AssertUnwindSafe(|| replay_with_poison(&mut engine, &op))) {
-                    Ok(Ok(_)) => {}
+                match catch_unwind(AssertUnwindSafe(|| self.apply(&op))) {
+                    // A duplicate is already in the checkpoint this
+                    // journal tail rides behind.
+                    Ok(Ok(_)) | Ok(Err(Error::Duplicate(_))) => {}
                     Ok(Err(e)) => eprintln!(
                         "pivotd: shard {}: replay error (op skipped): {e}",
                         self.idx
@@ -2268,35 +2269,31 @@ impl ShardWorker {
                         let strikes = self.strikes.entry(fp).or_insert(0);
                         *strikes += 1;
                         if *strikes >= 2 {
-                            self.quarantine_op(&op);
+                            self.quarantine_op(payload, fp);
                         }
-                        repanicked = true;
-                        break;
+                        continue 'replay;
                     }
                 }
             }
-            if !repanicked {
-                self.engine = engine;
-                // A rebuilt engine starts with detached handles; point
-                // it back at the shard's registry.
-                self.engine.pivot_mut().set_metrics(self.engine_metrics.clone());
-                // Readers must see the rebuilt partition, not the
-                // pre-panic (or pre-recovery empty) one.
-                self.publish_snapshot();
-                return;
-            }
+            // A rebuilt engine starts with detached handles; point it
+            // back at the shard's registry.
+            self.engine.set_metrics(self.engine_metrics.clone());
+            // Readers must see the rebuilt partition, not the
+            // pre-panic (or pre-recovery empty) one.
+            self.publish_snapshot();
+            return;
         }
     }
 
     /// Newest valid checkpoint generation, or a fresh engine.
-    fn engine_from_checkpoint(&mut self) -> DynamicPivot {
+    fn engine_from_checkpoint(&mut self) -> StoryPivot {
         if let Some(dir) = &self.checkpoint_dir {
             let timer = self.engine_metrics.checkpoint_load_duration.start();
             match checkpoint::load_newest(dir, self.idx, self.pivot_cfg.clone()) {
                 Ok(Some((pivot, generation))) => {
                     drop(timer);
                     self.generation = self.generation.max(generation);
-                    return DynamicPivot::from_pivot(pivot, self.policy);
+                    return pivot;
                 }
                 Ok(None) => timer.discard(),
                 Err(e) => {
@@ -2308,13 +2305,13 @@ impl ShardWorker {
                 }
             }
         }
-        DynamicPivot::new(self.pivot_cfg.clone(), self.policy)
+        StoryPivot::new(self.pivot_cfg.clone())
     }
 
-    /// Dead-letter an op: remember its fingerprint and append its bytes
-    /// to `shard{i}.dead` so the quarantine survives restarts.
-    fn quarantine_op(&mut self, op: &ReplayOp) {
-        let fp = op.fingerprint();
+    /// Dead-letter an op: remember its fingerprint and append its
+    /// journal payload to `shard{i}.dead` so the quarantine survives
+    /// restarts.
+    fn quarantine_op(&mut self, payload: &[u8], fp: u64) {
         if !self.quarantine.insert(fp) {
             return;
         }
@@ -2325,10 +2322,10 @@ impl ShardWorker {
         );
         if let Some(path) = &self.dead_path {
             let outcome = match self.dead.as_mut() {
-                Some(d) => d.append(&op.to_bytes()).map(|_| ()),
+                Some(d) => d.append(payload).map(|_| ()),
                 None => match Wal::open(path, SyncPolicy::Always) {
                     Ok((mut d, _)) => {
-                        let r = d.append(&op.to_bytes()).map(|_| ());
+                        let r = d.append(payload).map(|_| ());
                         self.dead = Some(d);
                         r
                     }
@@ -2379,16 +2376,15 @@ impl ShardWorker {
         // advances, so the newest valid on-disk generation (plus the
         // intact WAL) still reconstructs the exact partition.
         if self.checkpoint_fault.fire() {
-            self.trace.push("checkpoint", "injected fault");
+            self.trace.push("checkpoint_fault", self.generation);
             return Err(Error::Io(format!(
                 "shard {}: injected fault: checkpoint write failed",
                 self.idx
             )));
         }
-        let bytes = self.engine.pivot().save_checkpoint();
+        let bytes = self.engine.save_checkpoint();
         self.generation += 1;
-        self.trace
-            .push("checkpoint", format!("generation {}", self.generation));
+        self.trace.push("checkpoint", self.generation);
         checkpoint::write_generation(&dir, self.idx, self.generation, &bytes)?;
         if let Some(w) = &mut self.wal {
             w.reset()
@@ -2409,7 +2405,7 @@ impl ShardWorker {
     /// Drop an expired ingest and tell the client when the queue should
     /// have drained enough to be worth a fresh attempt.
     fn shed(&mut self, snippet: Snippet) -> Response {
-        self.trace.push("shed", format!("doc={}", snippet.doc.raw()));
+        self.trace.push("shed", snippet.doc.raw() as u64);
         self.serve_metrics.shed.inc();
         Response::Shed {
             retry_after_ms: retry_hint(
@@ -2469,7 +2465,7 @@ impl ShardWorker {
     }
 
     fn summaries(&self) -> Vec<StorySummary> {
-        let pivot = self.engine.pivot();
+        let pivot = &self.engine;
         pivot
             .story_partition()
             .into_iter()
@@ -2539,10 +2535,9 @@ impl ShardWorker {
     /// and publish the bootstrapped partition.
     fn repl_bootstrap(&mut self, generation: u64, bytes: Vec<u8>) -> Result<ReplCursor> {
         let engine = if bytes.is_empty() {
-            DynamicPivot::new(self.pivot_cfg.clone(), self.policy)
+            StoryPivot::new(self.pivot_cfg.clone())
         } else {
-            let pivot = storypivot_core::StoryPivot::load_checkpoint(self.pivot_cfg.clone(), &bytes)?;
-            DynamicPivot::from_pivot(pivot, self.policy)
+            StoryPivot::load_checkpoint(self.pivot_cfg.clone(), &bytes)?
         };
         if let Some(dir) = &self.checkpoint_dir {
             if !bytes.is_empty() {
@@ -2554,19 +2549,19 @@ impl ShardWorker {
                 .map_err(|e| Error::Io(format!("shard {} wal reset: {e}", self.idx)))?;
         }
         self.engine = engine;
-        self.engine.pivot_mut().set_metrics(self.engine_metrics.clone());
+        self.engine.set_metrics(self.engine_metrics.clone());
+        self.since_align = 0;
         self.generation = generation;
         self.ops_since_checkpoint = 0;
-        self.trace
-            .push("repl_bootstrap", format!("generation {generation}"));
+        self.trace.push("repl_bootstrap", generation);
         self.publish_snapshot();
         Ok(self.repl_cursor())
     }
 
     /// Follower side: append each shipped record to the local WAL
     /// (reproducing the leader's bytes exactly), then apply it through
-    /// idempotent replay — a duplicate from a resubscribe overlap is a
-    /// no-op, same as WAL-tail replay after a crash.
+    /// the shard's one apply path — a duplicate from a resubscribe
+    /// overlap is a no-op, same as WAL-tail replay after a crash.
     fn repl_apply(&mut self, records: &[u8]) -> Result<ReplCursor> {
         let (payloads, consumed) = wal::split_records(records);
         if consumed != records.len() {
@@ -2583,14 +2578,16 @@ impl ShardWorker {
                 w.append(payload)
                     .map_err(|e| Error::Io(format!("shard {} wal append: {e}", self.idx)))?;
             }
-            // Same error policy as rebuild(): a record the engine
-            // rejects is logged and skipped, not fatal — the leader
-            // already applied (or skipped) it.
-            if let Err(e) = replay_op(&mut self.engine, &op) {
-                eprintln!(
+            // Same error policy as rebuild(): a duplicate (from a
+            // resubscribe overlap) is a no-op, and any other record the
+            // engine rejects is logged and skipped, not fatal — the
+            // leader already applied (or skipped) it.
+            match self.apply_supervised(&op, oplog::fingerprint(payload)) {
+                Ok(_) | Err(Error::Duplicate(_)) => {}
+                Err(e) => eprintln!(
                     "pivotd: shard {}: replicated op rejected (skipped): {e}",
                     self.idx
-                );
+                ),
             }
             self.ops_since_checkpoint += 1;
             applied = true;
@@ -2618,9 +2615,11 @@ impl ShardWorker {
     }
 
     fn drain(&mut self) -> Response {
-        self.trace.push("drain", String::new());
-        self.engine.flush();
-        // Flushing can realign stories; publish so late readers see
+        self.trace.push("drain", 0);
+        self.engine.align_incremental();
+        self.engine.refine();
+        self.since_align = 0;
+        // Refinement can move snippets; publish so late readers see
         // the final partition.
         self.publish_snapshot();
         // A replica's durable state is already exactly the leader's
@@ -2636,13 +2635,6 @@ impl ShardWorker {
         }
         Response::ShutdownAck
     }
-}
-
-/// Recovery-side apply: same idempotent semantics as [`replay_op`],
-/// plus the poison hook so an injected panic reproduces during replay.
-fn replay_with_poison(engine: &mut DynamicPivot, op: &ReplayOp) -> Result<bool> {
-    poison_check(op);
-    replay_op(engine, op)
 }
 
 fn internal_shape_error() -> Response {

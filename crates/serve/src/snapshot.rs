@@ -19,10 +19,9 @@
 //! saw its ingest acked is guaranteed the next query reflects it,
 //! because the worker publishes before it replies.
 
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 use crate::proto::StorySummary;
-use storypivot_substrate::Shared;
 use storypivot_types::StoryId;
 
 /// An immutable snapshot of one shard's story partition.
@@ -53,28 +52,31 @@ impl ShardSnapshot {
 /// the readers. Swap-on-publish means a reader that loaded the old
 /// `Arc` keeps a consistent view for as long as it likes without
 /// holding any lock.
+///
+/// Lock poisoning is ignored: the guarded value is a single `Arc`, so
+/// a thread that panics while holding the lock cannot leave it half
+/// written, and a shard worker that dies mid-publish must not wedge
+/// the I/O workers that answer reads from the slot.
 #[derive(Clone, Debug, Default)]
 pub struct SnapshotSlot {
-    inner: Shared<Arc<ShardSnapshot>>,
+    inner: Arc<RwLock<Arc<ShardSnapshot>>>,
 }
 
 impl SnapshotSlot {
     /// An empty epoch-0 slot (what readers see before recovery ends).
     pub fn new() -> SnapshotSlot {
-        SnapshotSlot {
-            inner: Shared::new(Arc::new(ShardSnapshot::default())),
-        }
+        SnapshotSlot::default()
     }
 
     /// Swap in a freshly built snapshot.
     pub fn publish(&self, snap: Arc<ShardSnapshot>) {
-        *self.inner.write() = snap;
+        *self.inner.write().unwrap_or_else(PoisonError::into_inner) = snap;
     }
 
     /// Clone out the current snapshot; the lock is held only for the
     /// `Arc` clone.
     pub fn load(&self) -> Arc<ShardSnapshot> {
-        Arc::clone(&self.inner.read())
+        Arc::clone(&self.inner.read().unwrap_or_else(PoisonError::into_inner))
     }
 }
 
@@ -118,5 +120,54 @@ mod tests {
         assert_eq!(reader.load().epoch, 1);
         assert_eq!(old.epoch, 0);
         assert!(old.stories.is_empty());
+    }
+
+    #[test]
+    fn survives_a_poisoning_panic() {
+        let slot = SnapshotSlot::new();
+        let writer = slot.clone();
+        let result = std::thread::spawn(move || {
+            let _guard = writer.inner.write().unwrap();
+            panic!("poison the lock");
+        })
+        .join();
+        assert!(result.is_err());
+        assert!(slot.inner.is_poisoned());
+        // Readers and the publisher carry on regardless.
+        assert_eq!(slot.load().epoch, 0);
+        slot.publish(Arc::new(ShardSnapshot { epoch: 1, stories: vec![summary(1)] }));
+        assert_eq!(slot.load().epoch, 1);
+    }
+
+    #[test]
+    fn concurrent_readers_see_only_published_epochs_in_order() {
+        let slot = SnapshotSlot::new();
+        let publishes = 2_000u64;
+        std::thread::scope(|scope| {
+            let writer = slot.clone();
+            scope.spawn(move || {
+                for epoch in 1..=publishes {
+                    let stories = vec![summary(epoch as u32)];
+                    writer.publish(Arc::new(ShardSnapshot { epoch, stories }));
+                }
+            });
+            for _ in 0..4 {
+                let reader = slot.clone();
+                scope.spawn(move || {
+                    let mut last = 0;
+                    for _ in 0..500 {
+                        let snap = reader.load();
+                        // Epochs never go backwards, and every snapshot
+                        // is whole: its one story matches its epoch.
+                        assert!(snap.epoch >= last);
+                        last = snap.epoch;
+                        if snap.epoch > 0 {
+                            assert_eq!(snap.stories[0].id, StoryId::new(snap.epoch as u32));
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(slot.load().epoch, publishes);
     }
 }

@@ -11,7 +11,7 @@ use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use storypivot_core::config::PivotConfig;
-use storypivot_core::pipeline::{DynamicPivot, PipelinePolicy};
+use storypivot_core::pivot::StoryPivot;
 use storypivot_gen::{Corpus, CorpusBuilder, GenConfig};
 use storypivot_serve::client::Client;
 use storypivot_serve::proto::StorySummary;
@@ -58,8 +58,9 @@ fn spawn_pivotd(extra: &[&str], port_file: &Path) -> (Child, SocketAddr) {
     }
 }
 
-/// Partition as story id → sorted member ids; exact, since with
-/// `align_every 0` identification alone determines it.
+/// Partition as story id → sorted member ids; exact at any
+/// `--align-every`, since identification alone determines it (alignment
+/// never moves a snippet; only the drain-time refinement does).
 fn partition_of_summaries(stories: &[StorySummary]) -> BTreeMap<u32, Vec<u32>> {
     stories
         .iter()
@@ -71,9 +72,8 @@ fn partition_of_summaries(stories: &[StorySummary]) -> BTreeMap<u32, Vec<u32>> {
         .collect()
 }
 
-fn partition_of_engine(engine: &DynamicPivot) -> BTreeMap<u32, Vec<u32>> {
+fn partition_of_engine(engine: &StoryPivot) -> BTreeMap<u32, Vec<u32>> {
     engine
-        .pivot()
         .story_partition()
         .into_iter()
         .map(|(id, members)| {
@@ -94,17 +94,11 @@ fn corpus(seed: u64, events: usize) -> Corpus {
     .build()
 }
 
-/// The uninterrupted twin: one engine, same stream, never flushed.
-fn twin_of(corpus: &Corpus) -> DynamicPivot {
-    let mut twin = DynamicPivot::new(
-        PivotConfig::default(),
-        PipelinePolicy {
-            align_every: 0,
-            ..PipelinePolicy::default()
-        },
-    );
+/// The uninterrupted twin: one engine, same stream, never drained.
+fn twin_of(corpus: &Corpus) -> StoryPivot {
+    let mut twin = StoryPivot::new(PivotConfig::default());
     for source in &corpus.sources {
-        twin.pivot_mut().add_source_registered(source.clone()).unwrap();
+        twin.add_source_registered(source.clone()).unwrap();
     }
     for snippet in &corpus.snippets {
         twin.ingest(snippet.clone()).unwrap();
@@ -126,26 +120,27 @@ fn ingest_all(client: &mut Client, corpus: &Corpus) {
     }
 }
 
-#[test]
-fn sigkill_mid_stream_recovers_the_exact_partition() {
-    let wal = scratch("wal-basic");
-    let ckpt = scratch("ckpt-basic");
+/// Load a fresh daemon running `--align-every align_every`, SIGKILL it,
+/// restart it on the same directories, and check the recovered
+/// partition. Live apply and WAL replay both run the alignment cadence.
+fn sigkill_mid_stream_recovers(align_every: &str) {
+    let wal = scratch(&format!("wal-align{align_every}"));
+    let ckpt = scratch(&format!("ckpt-align{align_every}"));
     let port_file = wal.join("port");
-    let flags = [
+    let wal_s = wal.to_str().unwrap().to_string();
+    let ckpt_s = ckpt.to_str().unwrap().to_string();
+    let args = [
         "--shards",
         "2",
         "--align-every",
-        "0",
+        align_every,
         "--fsync",
         "always",
         "--wal-dir",
+        &wal_s,
+        "--checkpoint-dir",
+        &ckpt_s,
     ];
-    let mut args: Vec<&str> = flags.to_vec();
-    let wal_s = wal.to_str().unwrap().to_string();
-    let ckpt_s = ckpt.to_str().unwrap().to_string();
-    args.push(&wal_s);
-    args.push("--checkpoint-dir");
-    args.push(&ckpt_s);
 
     let corpus = corpus(7, 240);
     let (mut child, addr) = spawn_pivotd(&args, &port_file);
@@ -176,6 +171,13 @@ fn sigkill_mid_stream_recovers_the_exact_partition() {
     assert!(status.success());
     let _ = std::fs::remove_dir_all(&wal);
     let _ = std::fs::remove_dir_all(&ckpt);
+}
+
+#[test]
+fn sigkill_mid_stream_recovers_the_exact_partition() {
+    for align_every in ["0", "16"] {
+        sigkill_mid_stream_recovers(align_every);
+    }
 }
 
 #[test]

@@ -70,8 +70,8 @@ fn spawn_replica(leader: SocketAddr, dirs: &Path, shards: &str) -> (Child, Socke
     }
 }
 
-/// An in-process leader with WAL + checkpoints in `dirs`, flush-only so
-/// partitions compare exactly.
+/// An in-process leader with WAL + checkpoints in `dirs`, aligning only
+/// when draining (`align_every: 0`) so partitions compare exactly.
 fn spawn_leader(dirs: &Path, shards: usize) -> ServerHandle {
     let wal = dirs.join("wal");
     let ckpt = dirs.join("ckpt");
@@ -236,6 +236,55 @@ fn replica_killed_mid_tail_converges_after_restart() {
     let mut rc = Client::connect(replica_addr2).unwrap();
     rc.shutdown().unwrap();
     let status = child2.wait().unwrap();
+    assert!(status.success());
+    lc.shutdown().unwrap();
+    leader.join();
+    let _ = std::fs::remove_dir_all(&ldir);
+    let _ = std::fs::remove_dir_all(&rdir);
+}
+
+/// A poison op panics the leader twice (live apply, then WAL replay)
+/// and is dead-lettered there, but it stays in the leader's WAL and is
+/// shipped to the follower. The follower applies replicated records
+/// through the same supervised apply path, so it quarantines the op as
+/// well and serves the leader's partition, without the poison snippet.
+/// The poison hook exists only in debug builds.
+#[cfg(debug_assertions)]
+#[test]
+fn replica_quarantines_the_poison_op_the_leader_dead_lettered() {
+    use storypivot_serve::server::POISON_HEADLINE;
+    use storypivot_types::{EntityId, Snippet, SnippetId, Timestamp};
+
+    let ldir = scratch("poison-leader");
+    let rdir = scratch("poison-replica");
+    let corpus = corpus(25, 200);
+
+    let leader = spawn_leader(&ldir, 2);
+    let leader_addr = leader.addr();
+    let mut lc = Client::connect(leader_addr).unwrap();
+    register_sources(&mut lc, &corpus);
+    let half = corpus.snippets.len() / 2;
+    ingest_slice(&mut lc, &corpus, 0..half);
+    let poison = Snippet::builder(
+        SnippetId::new(corpus.snippets.len() as u32 + 1_000),
+        corpus.sources[0].id,
+        Timestamp::EPOCH,
+    )
+    .entity(EntityId::new(1), 1.0)
+    .headline(POISON_HEADLINE)
+    .build();
+    let err = lc.ingest(&poison).expect_err("poison must surface as an error");
+    assert!(err.to_string().contains("quarantined"), "unexpected error: {err}");
+    ingest_slice(&mut lc, &corpus, half..corpus.snippets.len());
+
+    let (mut child, replica_addr) = spawn_replica(leader_addr, &rdir, "2");
+    let want = partition_of_summaries(&lc.query_stories().unwrap());
+    assert!(!want.values().flatten().any(|&m| m == poison.id.raw()));
+    await_convergence(replica_addr, &want);
+
+    let mut rc = Client::connect(replica_addr).unwrap();
+    rc.shutdown().unwrap();
+    let status = child.wait().unwrap();
     assert!(status.success());
     lc.shutdown().unwrap();
     leader.join();

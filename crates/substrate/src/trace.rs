@@ -4,10 +4,14 @@
 //! checkpoint and journal — which repairs the state but destroys the
 //! evidence: the sequence of operations that led up to the poison op is
 //! gone. [`TraceRing`] keeps that evidence cheaply. Each shard owns one
-//! ring (single-threaded, no locking), pushes a short line per engine
-//! event (ingest, align, checkpoint, restart…), and the supervisor
+//! ring (single-threaded, no locking), pushes one fixed-size record per
+//! engine event (ingest, checkpoint, restart…), and the supervisor
 //! dumps the ring — newest events last — before rebuilding, turning a
 //! silent two-strike quarantine into a diagnosable artifact.
+//!
+//! A record is a sequence number, a static label and one `u64` value
+//! (an op fingerprint, a generation, a document id), so pushing never
+//! allocates or formats; text is produced only by [`TraceRing::render`].
 //!
 //! The ring is bounded: pushing beyond capacity evicts the oldest
 //! event, and a monotonically increasing sequence number makes the
@@ -16,23 +20,12 @@
 
 use std::collections::VecDeque;
 
-/// One traced engine event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Monotonic sequence number (0-based, never reused).
-    pub seq: u64,
-    /// Static event kind label, e.g. `"ingest"` or `"rebuild"`.
-    pub label: &'static str,
-    /// Free-form detail (ids, sizes, outcomes).
-    pub detail: String,
-}
-
-/// A bounded ring of [`TraceEvent`]s; see the module docs.
+/// A bounded ring of `(seq, label, value)` events; see the module docs.
 #[derive(Debug, Clone)]
 pub struct TraceRing {
     capacity: usize,
     next_seq: u64,
-    events: VecDeque<TraceEvent>,
+    events: VecDeque<(u64, &'static str, u64)>,
 }
 
 impl TraceRing {
@@ -48,61 +41,27 @@ impl TraceRing {
 
     /// Append one event, evicting the oldest when full. Returns the
     /// event's sequence number.
-    pub fn push(&mut self, label: &'static str, detail: impl Into<String>) -> u64 {
+    pub fn push(&mut self, label: &'static str, value: u64) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         if self.events.len() == self.capacity {
             self.events.pop_front();
         }
-        self.events.push_back(TraceEvent {
-            seq,
-            label,
-            detail: detail.into(),
-        });
+        self.events.push_back((seq, label, value));
         seq
     }
 
-    /// Number of events currently retained.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// The retention capacity this ring was built with.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Total events ever pushed (retained + evicted).
-    pub fn total_pushed(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Retained events, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Drop every retained event (sequence numbers keep counting).
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-
     /// Render the retained events as one line each, oldest first:
-    /// `#<seq> <label> <detail>`. A truncation header records how many
-    /// older events were evicted.
+    /// `#<seq> <label> <value in hex>`. A truncation header records how
+    /// many older events were evicted.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let evicted = self.next_seq - self.events.len() as u64;
         if evicted > 0 {
             out.push_str(&format!("... {evicted} earlier events evicted ...\n"));
         }
-        for e in &self.events {
-            out.push_str(&format!("#{:06} {} {}\n", e.seq, e.label, e.detail));
+        for (seq, label, value) in &self.events {
+            out.push_str(&format!("#{seq:06} {label} {value:#x}\n"));
         }
         out
     }
@@ -115,48 +74,30 @@ mod tests {
     #[test]
     fn push_retains_in_order_up_to_capacity() {
         let mut ring = TraceRing::new(3);
-        assert!(ring.is_empty());
+        assert_eq!(ring.render(), "");
         for i in 0..3u64 {
-            assert_eq!(ring.push("ev", format!("n={i}")), i);
+            assert_eq!(ring.push("ev", i), i);
         }
-        assert_eq!(ring.len(), 3);
-        let seqs: Vec<u64> = ring.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2]);
+        assert_eq!(ring.render(), "#000000 ev 0x0\n#000001 ev 0x1\n#000002 ev 0x2\n");
     }
 
     #[test]
     fn overflow_evicts_oldest_and_keeps_sequence() {
         let mut ring = TraceRing::new(2);
         for i in 0..5u64 {
-            ring.push("ev", i.to_string());
+            ring.push("ev", i);
         }
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.total_pushed(), 5);
-        let seqs: Vec<u64> = ring.iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![3, 4]);
-        let dump = ring.render();
-        assert!(dump.starts_with("... 3 earlier events evicted ..."));
-        assert!(dump.contains("#000003 ev 3"));
-        assert!(dump.contains("#000004 ev 4"));
+        assert_eq!(
+            ring.render(),
+            "... 3 earlier events evicted ...\n#000003 ev 0x3\n#000004 ev 0x4\n"
+        );
     }
 
     #[test]
     fn zero_capacity_clamps_to_one() {
         let mut ring = TraceRing::new(0);
-        assert_eq!(ring.capacity(), 1);
-        ring.push("a", "");
-        ring.push("b", "");
-        assert_eq!(ring.len(), 1);
-        assert_eq!(ring.iter().next().unwrap().label, "b");
-    }
-
-    #[test]
-    fn clear_keeps_counting() {
-        let mut ring = TraceRing::new(4);
-        ring.push("a", "");
-        ring.clear();
-        assert!(ring.is_empty());
-        assert_eq!(ring.push("b", ""), 1);
-        assert_eq!(ring.total_pushed(), 2);
+        ring.push("a", 0);
+        assert_eq!(ring.push("b", 0xbeef), 1);
+        assert_eq!(ring.render(), "... 1 earlier events evicted ...\n#000001 b 0xbeef\n");
     }
 }

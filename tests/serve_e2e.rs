@@ -6,7 +6,6 @@
 use std::path::PathBuf;
 
 use storypivot::core::config::PivotConfig;
-use storypivot::core::pipeline::{DynamicPivot, PipelinePolicy};
 use storypivot::core::pivot::StoryPivot;
 use storypivot::gen::{CorpusBuilder, GenConfig};
 use storypivot::serve::client::Client;
@@ -45,10 +44,10 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// align_every = 0 makes the pipeline flush-only, so the engine's state
-/// is a pure function of the per-shard ingest sequence — exactly what
-/// the wire adds nothing to. That makes served-vs-in-process equality
-/// exact rather than approximate.
+/// align_every = 0 aligns only when draining, so the engine's state is
+/// a pure function of the per-shard ingest sequence — exactly what the
+/// wire adds nothing to. That makes served-vs-in-process equality exact
+/// rather than approximate.
 fn flush_only_config(shards: usize, checkpoint_dir: Option<PathBuf>) -> ServerConfig {
     ServerConfig {
         shards,
@@ -60,41 +59,53 @@ fn flush_only_config(shards: usize, checkpoint_dir: Option<PathBuf>) -> ServerCo
 
 #[test]
 fn served_partition_matches_in_process_and_checkpoint_restores() {
+    for align_every in [0, 16] {
+        served_partition_matches_twin(align_every);
+    }
+}
+
+/// One shard running `align_every` against an in-process `StoryPivot`
+/// twin that ingests the same stream and aligns at the same cadence.
+fn served_partition_matches_twin(align_every: usize) {
     let corpus = CorpusBuilder::new(
         GenConfig::default().with_seed(42).with_sources(4).with_target_snippets(300),
     )
     .build();
-    let ckpt = scratch_dir("single");
+    let ckpt = scratch_dir(&format!("single-align{align_every}"));
 
-    let handle = serve("127.0.0.1:0", flush_only_config(1, Some(ckpt.clone()))).unwrap();
+    let cfg = ServerConfig { align_every, ..flush_only_config(1, Some(ckpt.clone())) };
+    let handle = serve("127.0.0.1:0", cfg).unwrap();
     let addr = handle.addr();
 
     let report = replay(addr, &corpus, &LoadOptions { connections: 1, ..LoadOptions::default() })
         .unwrap();
     assert_eq!(report.events as usize, corpus.len());
 
-    // In-process twin: same config, same policy, same delivery order.
-    let mut twin = DynamicPivot::new(
-        PivotConfig::default(),
-        PipelinePolicy { align_every: 0, ..PipelinePolicy::default() },
-    );
+    // In-process twin: same config, same cadence, same delivery order.
+    let mut twin = StoryPivot::new(PivotConfig::default());
     for source in &corpus.sources {
-        twin.pivot_mut().add_source_with_lag(
-            source.name.clone(),
-            source.kind,
-            source.typical_lag,
-        );
+        twin.add_source_with_lag(source.name.clone(), source.kind, source.typical_lag);
     }
-    for snippet in &corpus.snippets {
+    for (i, snippet) in corpus.snippets.iter().enumerate() {
         twin.ingest(snippet.clone()).unwrap();
+        if align_every > 0 && (i + 1) % align_every == 0 {
+            twin.align_incremental();
+        }
     }
 
     let mut client = Client::connect(addr).unwrap();
     let served = partition_of_summaries(&client.query_stories().unwrap());
-    assert_eq!(served, partition_of_engine(twin.pivot()), "served partition must match in-process");
+    assert_eq!(served, partition_of_engine(&twin), "served partition must match in-process");
 
     let text = client.metrics().unwrap();
     assert_eq!(sample(&text, "storypivot_ingest_total", &[]), Some(corpus.len() as f64));
+    // The shard ran its cadence on live ingests and nowhere else.
+    let align_runs = corpus.len().checked_div(align_every).unwrap_or(0);
+    assert_eq!(
+        sample(&text, "storypivot_align_runs_total", &[]),
+        Some(align_runs as f64),
+        "align_every = {align_every}"
+    );
     // Exactly one shard: its labelled series exist, a second's do not.
     let capacity =
         |shard: &str| sample(&text, "storypivot_shard_queue_capacity", &[("shard", shard)]);
@@ -111,13 +122,14 @@ fn served_partition_matches_in_process_and_checkpoint_restores() {
             .expect("shutdown must write a shard 0 checkpoint generation");
     assert!(generation >= 1, "shutdown checkpoint must carry a generation");
 
-    // The checkpoint restores the *flushed* engine (drain runs a final
-    // align + refine before saving) — flush the twin to match.
-    twin.flush();
+    // The checkpoint restores the *drained* engine (drain runs a final
+    // align + refine before saving) — drain the twin to match.
+    twin.align_incremental();
+    twin.refine();
     assert_eq!(
         partition_of_engine(&restored),
-        partition_of_engine(twin.pivot()),
-        "restored checkpoint must match the flushed in-process engine"
+        partition_of_engine(&twin),
+        "restored checkpoint must match the drained in-process engine"
     );
     let _ = std::fs::remove_dir_all(&ckpt);
 }
@@ -144,17 +156,11 @@ fn sharded_server_matches_sharded_in_process_replica() {
     assert_eq!(report.events as usize, corpus.len());
 
     // In-process replica of the sharded topology.
-    let mut replicas: Vec<DynamicPivot> = (0..shards)
-        .map(|_| {
-            DynamicPivot::new(
-                PivotConfig::default(),
-                PipelinePolicy { align_every: 0, ..PipelinePolicy::default() },
-            )
-        })
-        .collect();
+    let mut replicas: Vec<StoryPivot> =
+        (0..shards).map(|_| StoryPivot::new(PivotConfig::default())).collect();
     for source in &corpus.sources {
         let shard = source.id.raw() as usize % shards;
-        replicas[shard].pivot_mut().add_source_registered(source.clone()).unwrap();
+        replicas[shard].add_source_registered(source.clone()).unwrap();
     }
     for snippet in &corpus.snippets {
         let shard = snippet.source.raw() as usize % shards;
@@ -162,7 +168,7 @@ fn sharded_server_matches_sharded_in_process_replica() {
     }
     let mut expected: Partition = replicas
         .iter()
-        .flat_map(|dp| partition_of_engine(dp.pivot()))
+        .flat_map(partition_of_engine)
         .collect();
     expected.sort();
 
@@ -281,22 +287,15 @@ fn metrics_exposition_matches_in_process_engine() {
 
     // Twin with its own live registry, fed identically.
     let registry = storypivot::substrate::metrics::Registry::new();
-    let mut twin = DynamicPivot::new(
-        PivotConfig::default(),
-        PipelinePolicy { align_every: 0, ..PipelinePolicy::default() },
-    );
-    twin.pivot_mut().set_metrics(storypivot::core::EngineMetrics::register(&registry));
+    let mut twin = StoryPivot::new(PivotConfig::default());
+    twin.set_metrics(storypivot::core::EngineMetrics::register(&registry));
     for source in &corpus.sources {
-        twin.pivot_mut().add_source_with_lag(
-            source.name.clone(),
-            source.kind,
-            source.typical_lag,
-        );
+        twin.add_source_with_lag(source.name.clone(), source.kind, source.typical_lag);
     }
     for snippet in &corpus.snippets {
         twin.ingest(snippet.clone()).unwrap();
     }
-    let twin_metrics = twin.pivot().metrics().clone();
+    let twin_metrics = twin.metrics().clone();
 
     let mut client = Client::connect(addr).unwrap();
     let text = client.metrics().unwrap();
